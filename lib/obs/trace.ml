@@ -120,6 +120,14 @@ let exit n =
         top.elapsed <- top.elapsed +. (Metric.monotonic_s () -. top.started)
     | _ -> ()
 
+let unattributed f =
+  if not (on_main ()) then f ()
+  else begin
+    let saved = !stack in
+    stack := [];
+    Fun.protect ~finally:(fun () -> stack := saved) f
+  end
+
 let current () = match !stack with n :: _ when on_main () -> n | _ -> dummy
 
 let note_read () =

@@ -62,6 +62,12 @@ val note_batch : node -> unit
 
 val set_attr : node -> string -> string -> unit
 
+val unattributed : (unit -> 'a) -> 'a
+(** Runs [f] with the span stack hidden, so pages it reads, writes or
+    skips are charged to no span.  For work whose pages the caller
+    attributes itself afterwards: a parallel scan partition drained on
+    the main domain (see {!note_partition}). *)
+
 val current : unit -> node
 (** The innermost active span, or [dummy] when there is none (or when
     called off the main domain). *)

@@ -12,18 +12,23 @@ exception Eval_error of string
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Eval_error s)) fmt
 
+let unbound var = errf "tuple variable %S is not bound" var
+
 let find_binding ctx var =
   let rec go = function
-    | [] -> errf "tuple variable %S is not bound" var
+    | [] -> unbound var
     | b :: rest -> if b.var = var then b else go rest
   in
   go ctx.bindings
 
+let attr_index schema var attr =
+  match Schema.index_of schema attr with
+  | Some i -> i
+  | None -> errf "relation of %s has no attribute %S" var attr
+
 let attr_value ctx var attr =
   let b = find_binding ctx var in
-  match Schema.index_of b.schema attr with
-  | Some i -> b.tuple.(i)
-  | None -> errf "relation of %s has no attribute %S" var attr
+  b.tuple.(attr_index b.schema var attr)
 
 let as_number = function
   | Value.Int n -> float_of_int n
@@ -63,7 +68,9 @@ let rec expr ctx = function
   | Efloat f -> Value.Float f
   | Estring s -> Value.Str s
   | Euminus e -> negate (expr ctx e)
-  | Ebinop (op, a, b) -> arith op (expr ctx a) (expr ctx b)
+  | Ebinop (op, a, b) ->
+      let x = expr ctx a in
+      arith op x (expr ctx b)
   | Eagg (agg, _, _) ->
       (* Aggregates are folded by the executor, never evaluated per tuple. *)
       errf "aggregate %s outside an aggregate target list"
@@ -82,7 +89,8 @@ let compare_values ~now a b =
 
 let rec pred ctx = function
   | Pcompare (op, a, b) ->
-      let c = compare_values ~now:ctx.now (expr ctx a) (expr ctx b) in
+      let x = expr ctx a in
+      let c = compare_values ~now:ctx.now x (expr ctx b) in
       (match op with
       | Eq -> c = 0
       | Ne -> c <> 0
@@ -102,15 +110,19 @@ let valid_of_tuple b =
          temporal joins against them behave like the identity. *)
       Period.make Chronon.beginning Chronon.forever
 
+(* Both operands are evaluated, left first, even when the left one is
+   undefined: an error on the right must surface either way. *)
 let rec tempexpr ctx = function
   | Tvar v -> Some (valid_of_tuple (find_binding ctx v))
   | Tconst s -> Some (Period.at (time_of_string ~now:ctx.now s))
   | Toverlap (a, b) -> (
-      match (tempexpr ctx a, tempexpr ctx b) with
+      let pa = tempexpr ctx a in
+      match (pa, tempexpr ctx b) with
       | Some pa, Some pb -> Period.overlap pa pb
       | _ -> None)
   | Textend (a, b) -> (
-      match (tempexpr ctx a, tempexpr ctx b) with
+      let pa = tempexpr ctx a in
+      match (pa, tempexpr ctx b) with
       | Some pa, Some pb -> Some (Period.extend pa pb)
       | _ -> None)
   | Tstart_of e -> Option.map Period.start_of (tempexpr ctx e)
@@ -131,18 +143,17 @@ let exclusive_end ctx e =
         (fun p -> if Period.is_event p then Period.from_ p else Period.to_ p)
         (tempexpr ctx e)
 
+let period_test = function
+  | Poverlap _ -> Period.overlaps
+  | Pprecede _ -> Period.precede
+  | Pequal _ -> Period.equal
+  | Pand _ | Por _ | Pnot _ -> invalid_arg "Eval.period_test: a connective"
+
 let rec temppred ctx = function
-  | Poverlap (a, b) -> (
-      match (tempexpr ctx a, tempexpr ctx b) with
-      | Some pa, Some pb -> Period.overlaps pa pb
-      | _ -> false)
-  | Pprecede (a, b) -> (
-      match (tempexpr ctx a, tempexpr ctx b) with
-      | Some pa, Some pb -> Period.precede pa pb
-      | _ -> false)
-  | Pequal (a, b) -> (
-      match (tempexpr ctx a, tempexpr ctx b) with
-      | Some pa, Some pb -> Period.equal pa pb
+  | (Poverlap (a, b) | Pprecede (a, b) | Pequal (a, b)) as p -> (
+      let pa = tempexpr ctx a in
+      match (pa, tempexpr ctx b) with
+      | Some pa, Some pb -> period_test p pa pb
       | _ -> false)
   | Pand (a, b) -> temppred ctx a && temppred ctx b
   | Por (a, b) -> temppred ctx a || temppred ctx b

@@ -20,6 +20,8 @@ val expr : context -> Tdb_tquel.Ast.expr -> Tdb_relation.Value.t
     executor, not evaluated per tuple. *)
 
 val pred : context -> Tdb_tquel.Ast.pred -> bool
+(** Operands evaluate left to right, so of two failing operands the left
+    one's error is raised; [and]/[or] short-circuit. *)
 
 val apply_binop :
   Tdb_tquel.Ast.binop -> Tdb_relation.Value.t -> Tdb_relation.Value.t ->
@@ -28,6 +30,24 @@ val apply_binop :
     results back into their enclosing expressions). *)
 
 val negate : Tdb_relation.Value.t -> Tdb_relation.Value.t
+
+val unbound : string -> 'a
+(** Raises the {!Eval_error} evaluation raises for an unbound tuple
+    variable. *)
+
+val attr_index : Tdb_relation.Schema.t -> string -> string -> int
+(** [attr_index schema var attr]: the position of [var.attr] in a tuple
+    of [schema], raising the {!Eval_error} evaluation raises when the
+    relation has no such attribute. *)
+
+val time_of_string : now:Tdb_time.Chronon.t -> string -> Tdb_time.Chronon.t
+(** A time constant, as comparisons and temporal expressions read it;
+    raises {!Eval_error} when the string is not a time. *)
+
+val period_test :
+  Tdb_tquel.Ast.temppred -> Tdb_time.Period.t -> Tdb_time.Period.t -> bool
+(** The period relation a primitive temporal predicate ([overlap],
+    [precede], [equal]) tests; [Invalid_argument] on [and]/[or]/[not]. *)
 
 val compare_values :
   now:Tdb_time.Chronon.t ->

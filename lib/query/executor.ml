@@ -283,7 +283,7 @@ let result_schema ~sources (r : retrieve) =
    clause sees the current state of a rollback or temporal relation (only
    versions whose transaction period contains the present).  An explicit
    clause shifts the reference point.  Relations without transaction time
-   ignore the window (see {!as_of_ok}). *)
+   ignore the window (see {!Restriction.compile}). *)
 let as_of_window ~now = function
   | None -> Some (Period.at now)
   | Some { at; through } -> (
@@ -301,50 +301,29 @@ let as_of_window ~now = function
             errf "as-of window ends before it starts"
           else Some (Period.make t1 (Chronon.succ t2)))
 
-(* A version qualifies under [as of] iff its transaction period overlaps
-   the window (for a point window: contains the instant). *)
-let as_of_ok window schema tuple =
-  match window with
-  | None -> true
-  | Some w -> (
-      match Tuple.transaction_period schema tuple with
-      | Some p -> Period.overlaps p w
-      | None -> true)
-
 (* --- per-variable restriction --- *)
 
+(* A source's restriction for one statement: the as-of window (which
+   also bounds fence pruning) and the record test compiled from it and
+   the source's pushed-down conjuncts, run inside the cursor. *)
 type restriction = {
-  conjuncts : Conjuncts.conjunct list;  (** single-variable, this var only *)
   window : Period.t option;
+  keep : (bytes -> bool) option;
 }
+
+let restriction ~now ~window conjuncts (source : source) =
+  {
+    window;
+    keep =
+      Restriction.compile
+        ~schema:(Relation_file.schema source.rel)
+        ~var:source.var ~now ~window
+        (Conjuncts.for_var source.var conjuncts);
+  }
 
 let check_conjunct ctx = function
   | Conjuncts.Where p -> Eval.pred ctx p
   | Conjuncts.When p -> Eval.temppred ctx p
-
-(* The pushed-down single-variable conjuncts as a tuple predicate, with
-   everything per-source hoisted out of the record loop. *)
-let conjuncts_check ~now restriction (source : source) =
-  match restriction.conjuncts with
-  | [] -> fun _ -> true
-  | conjuncts ->
-      let schema = Relation_file.schema source.rel in
-      fun tuple ->
-        let ctx =
-          { Eval.bindings = [ { Eval.var = source.var; schema; tuple } ]; now }
-        in
-        List.for_all (check_conjunct ctx) conjuncts
-
-(* The raw-record as-of test: [Tuple.transaction_period]'s overlap check
-   replayed over the encoded bytes (see
-   {!Relation_file.transaction_overlaps}), so versions outside the
-   rollback window are refuted before paying for a full decode.  [None]
-   exactly when [as_of_ok] passes every tuple — no window, or a schema
-   without transaction time. *)
-let prefilter_of ~restriction (source : source) =
-  match (restriction.window, Relation_file.transaction_overlaps source.rel) with
-  | Some w, Some overlaps -> Some (overlaps w)
-  | _ -> None
 
 (* --- access paths --- *)
 
@@ -367,9 +346,9 @@ let coerce_probe schema key_attr v ~now =
 (* Resolve a [Time_fence] refinement into the storage layer's window: the
    transaction dimension is the query's as-of window, the valid dimension
    the constant [when] bound.  Pruning on either is sound because the
-   restriction re-applies the exact tests ([as_of_ok], the when conjunct)
-   to every surviving tuple. *)
-let resolve_window ~now ~restriction ~transaction ~valid_const =
+   restriction re-applies the exact tests (the as-of window, the when
+   conjunct) to every surviving record. *)
+let resolve_window ~now ~as_of ~transaction ~valid_const =
   let valid =
     Option.map
       (fun s ->
@@ -378,7 +357,7 @@ let resolve_window ~now ~restriction ~transaction ~valid_const =
         | Error e -> errf "bad time constant %S: %s" s e)
       valid_const
   in
-  let transaction = if transaction then restriction.window else None in
+  let transaction = if transaction then as_of else None in
   match (transaction, valid) with
   | None, None -> None
   | _ -> Some { Tdb_storage.Time_fence.transaction; valid }
@@ -387,7 +366,7 @@ let resolve_window ~now ~restriction ~transaction ~valid_const =
    (if the plan wrapped one) and the unified access path.  Evaluating the
    probe constants here costs no I/O, so planners (the parallelism
    admission below, [\explain]) can call this freely. *)
-let resolve_access ~now ~restriction ~access (source : source) =
+let resolve_access ~now ~as_of ~access (source : source) =
   let key_attr_name () =
     match Relation_file.key_attr source.rel with
     | Some i -> (Schema.attr (Relation_file.schema source.rel) i).Schema.name
@@ -415,41 +394,24 @@ let resolve_access ~now ~restriction ~access (source : source) =
         in
         (window, Relation_file.Key_range { lo = bound lo; hi = bound hi })
     | Plan.Time_fence { transaction; valid_const; base } ->
-        let window = resolve_window ~now ~restriction ~transaction ~valid_const in
+        let window = resolve_window ~now ~as_of ~transaction ~valid_const in
         go ?window base
   in
   go access
 
-(* Resolve a plan access into the storage layer's unified batch cursor. *)
-let cursor_of_access ~now ~restriction ~access (source : source) =
-  let window, path = resolve_access ~now ~restriction ~access source in
-  Relation_file.cursor ?window source.rel path
-
-(* Apply the full single-variable restriction to one raw record: the
-   as-of test straight on the bytes when possible (skipping the decode of
-   refuted versions entirely — with a window, that check decides alone,
-   so no [as_of_ok] re-test is needed), then the pushed-down conjuncts on
-   the decoded tuple.  Built once per source and partially applied, so
-   repeated probes (the inner side of a join) pay none of the setup. *)
-let restricted_visitor ~now ~restriction (source : source) =
+(* The cursor has already applied the restriction: every record it
+   yields qualifies, and only those are decoded. *)
+let decoded (source : source) =
   let decode = Relation_file.decode source.rel in
-  let keep = conjuncts_check ~now restriction source in
-  match prefilter_of ~restriction source with
-  | Some alive ->
-      fun f _tid record ->
-        if alive record then begin
-          let tuple = decode record in
-          if keep tuple then f tuple
-        end
-  | None ->
-      fun f _tid record ->
-        let tuple = decode record in
-        if keep tuple then f tuple
+  fun f _tid record -> f (decode record)
 
 let iter_restricted ~now ~restriction ~access (source : source) f =
+  let window, path =
+    resolve_access ~now ~as_of:restriction.window ~access source
+  in
   Cursor.iter
-    (cursor_of_access ~now ~restriction ~access source)
-    (restricted_visitor ~now ~restriction source f)
+    (Relation_file.cursor ?window ?keep:restriction.keep source.rel path)
+    (decoded source f)
 
 (* --- parallel execution ---
 
@@ -511,31 +473,37 @@ let admit ~window ~path (source : source) =
             pruned = p.Relation_file.pp_pruned_pages;
           }
 
-let parallel_decision ~now ~restriction ~access (source : source) =
+let parallel_decision ~now ~as_of ~access (source : source) =
   if Pool.workers () <= 1 then Par_off
   else
-    let window, path = resolve_access ~now ~restriction ~access source in
+    let window, path = resolve_access ~now ~as_of ~access source in
     admit ~window ~path source
 
 (* Drain pre-built page-disjoint partitions into [emit] through the
    domain pool.
 
-   Each worker drains its partitions through private pools and applies
-   the same pure visitor (as-of prefilter, decode, pushed-down
-   conjuncts); the main domain then emits the surviving tuples partition
-   by partition, in partition order.  Partitions are contiguous ranges
-   of the sequential walk order, so the emitted sequence — and
+   Each worker drains its partitions through private pools — the
+   partition cursors carry the compiled restriction, so workers decode
+   only qualifying versions; the main domain then emits the tuples
+   partition by partition, in partition order.  Partitions are
+   contiguous ranges of the sequential walk order, so the emitted
+   sequence — and
    everything downstream of it — is bit-identical to the sequential
    access's.  Partition I/O and fence skips are folded into the source's
    stats and the current span after the join; a failing worker's error
    is re-raised here (first by partition order) once all workers have
    stopped.  [build_parts] runs inside the skip snapshot so shard-level
-   prunes charged at partition-build time land on the span too. *)
-let drain_partitions (source : source) build_parts visit emit =
+   prunes charged at partition-build time land on the span too.  The
+   calling domain runs one of the worker loops itself; its partitions
+   drain off the span stack, so their reads and skips are charged once,
+   by the fold below, like every other worker's. *)
+let drain_partitions (source : source) build_parts emit =
   let skips_before = Time_fence.pages_skipped () in
   let parts = Array.of_list (build_parts ()) in
+  let visit = decoded source in
   let drained =
     Pool.run_tasks (Array.length parts) (fun i ->
+        Trace.unattributed @@ fun () ->
         let cursor, _stats = parts.(i) in
         let t0 = Metric.monotonic_s () in
         let acc = ref [] in
@@ -562,26 +530,25 @@ let drain_partitions (source : source) build_parts visit emit =
   Trace.note_skip (Time_fence.pages_skipped () - skips_before);
   Array.iter (fun (tuples, _, _) -> List.iter emit tuples) drained
 
-let drain_admitted (source : source) ~window ~path ~parts visit emit =
+let drain_admitted (source : source) ~keep ~window ~path ~parts emit =
   drain_partitions source
     (fun () ->
       match
-        Relation_file.partition_access ?window source.rel ~parts path
+        Relation_file.partition_access ?window ?keep source.rel ~parts path
       with
       | Some ps -> ps
       | None ->
           (* partition_preview admitted, so the access fans out *)
           assert false)
-    visit emit
+    emit
 
 (* Drain a restricted source into [emit], fanning the access out over
    the domain pool when more than one worker is configured and the
    admission rule clears. *)
 let scan_restricted ~now ~restriction ~access (source : source) emit =
-  match parallel_decision ~now ~restriction ~access source with
+  match parallel_decision ~now ~as_of:restriction.window ~access source with
   | Par_go { window; path; parts; _ } ->
-      let visit = restricted_visitor ~now ~restriction source in
-      drain_admitted source ~window ~path ~parts visit emit
+      drain_admitted source ~keep:restriction.keep ~window ~path ~parts emit
   | Par_off | Par_unavailable | Par_declined _ ->
       iter_restricted ~now ~restriction ~access source emit
 
@@ -590,28 +557,31 @@ let scan_restricted ~now ~restriction ~access (source : source) emit =
    valid envelope into the inner scan this way.  Parallel admission runs
    against the narrowed window, so envelope-refuted shards are never
    assigned to workers. *)
-let scan_with_window ~now ~restriction ~window ~path (source : source) emit =
-  let visit = restricted_visitor ~now ~restriction source in
+let scan_with_window ~restriction ~window ~path (source : source) emit =
+  let keep = restriction.keep in
   let inline () =
-    Cursor.iter (Relation_file.cursor ?window source.rel path) (visit emit)
+    Cursor.iter
+      (Relation_file.cursor ?window ?keep source.rel path)
+      (decoded source emit)
   in
   if Pool.workers () <= 1 then inline ()
   else
     match admit ~window ~path source with
     | Par_go { window; path; parts; _ } ->
-        drain_admitted source ~window ~path ~parts visit emit
+        drain_admitted source ~keep ~window ~path ~parts emit
     | Par_off | Par_unavailable | Par_declined _ -> inline ()
 
 (* Keyed probes under an already-resolved window (the inner side of a
-   tuple substitution); [visit] is a {!restricted_visitor} partial
-   application, built once for the whole join.  Each probe value decides
-   parallelism for itself — chain lengths differ per key — against the
-   same admission floor as scans; the single-worker / cold-key case
-   stays a plain inline cursor walk. *)
-let probe_runner ~window (source : source) visit =
+   tuple substitution), with the restriction compiled once for the whole
+   join.  Each probe value decides parallelism for itself — chain
+   lengths differ per key — against the same admission floor as scans;
+   the single-worker / cold-key case stays a plain inline cursor walk. *)
+let probe_runner ~restriction ~window (source : source) =
+  let keep = restriction.keep in
+  let visit = decoded source in
   let inline probe emitter =
     Cursor.iter
-      (Relation_file.cursor ?window source.rel
+      (Relation_file.cursor ?window ?keep source.rel
          (Relation_file.Key_lookup probe))
       (visit emitter)
   in
@@ -620,7 +590,7 @@ let probe_runner ~window (source : source) visit =
     let path = Relation_file.Key_lookup probe in
     match admit ~window ~path source with
     | Par_go { window; path; parts; _ } ->
-        drain_admitted source ~window ~path ~parts visit emitter
+        drain_admitted source ~keep ~window ~path ~parts emitter
     | Par_off | Par_unavailable | Par_declined _ -> inline probe emitter
 
 (* --- one-variable detachment --- *)
@@ -1077,10 +1047,7 @@ let explain_parallelism ~now ~sources (r : retrieve) =
   let workers = Pool.workers () in
   if workers <= 1 then Printf.sprintf "parallel: off (workers=%d)" workers
   else begin
-    let window = as_of_window ~now r.as_of in
-    let restriction_of var =
-      { conjuncts = Conjuncts.for_var var conjuncts; window }
-    in
+    let as_of = as_of_window ~now r.as_of in
     let find v = List.find (fun s -> s.var = v) sources in
     let driving =
       match plan with
@@ -1104,8 +1071,7 @@ let explain_parallelism ~now ~sources (r : retrieve) =
           Printf.sprintf "parallel: off (workers=%d, no driving scan)" workers
       | Some (v, access) -> (
           match
-            parallel_decision ~now ~restriction:(restriction_of v) ~access
-              (find v)
+            parallel_decision ~now ~as_of ~access (find v)
           with
           | Par_off -> Printf.sprintf "parallel: off (workers=%d)" workers
           | Par_unavailable ->
@@ -1147,16 +1113,19 @@ let run_retrieve ~now ~sources (r : retrieve) ~on_tuple =
   let sources = ordered_sources ~sources r in
   let conjuncts = Conjuncts.split r.where r.when_ in
   let window = as_of_window ~now r.as_of in
-  let restriction_of var =
-    { conjuncts = Conjuncts.for_var var conjuncts; window }
+  (* Each source's restriction, compiled once for the whole statement:
+     inner sides of nested loops and probes reuse it per outer row. *)
+  let restrictions =
+    List.map (fun s -> (s.var, restriction ~now ~window conjuncts s)) sources
   in
+  let restriction_of var = List.assoc var restrictions in
   let residual = Conjuncts.multi_var conjuncts in
   let access_for = access_for conjuncts in
   let fenced_scan = fenced_scan conjuncts in
-  let fence_window_for s ~restriction =
+  let fence_window_for s =
     match Plan.fence_spec (source_info s) conjuncts with
     | Some (transaction, valid_const) ->
-        resolve_window ~now ~restriction ~transaction ~valid_const
+        resolve_window ~now ~as_of:window ~transaction ~valid_const
     | None -> None
   in
   let plan = Plan.choose ~temporal_join:(temporal_join_enabled ())
@@ -1263,23 +1232,24 @@ let run_retrieve ~now ~sources (r : retrieve) ~on_tuple =
         | _ -> errf "by-list entries must be attribute references"
       in
       let s = List.find (fun s -> s.var = var) sources in
-      let schema = schema_of s in
+      (* the rollback window alone: a restriction without conjuncts *)
+      let { keep; _ } = restriction ~now ~window [] s in
       Trace.within (Printf.sprintf "agg-scan(%s)" var) (fun tn ->
-          Relation_file.scan s.rel (fun _ tuple ->
-              if as_of_ok window schema tuple then begin
-                Trace.add_tuples tn 1;
-                let ctx = { Eval.bindings = [ binding s tuple ]; now } in
-                let key = group_key ctx by in
-                let accum =
-                  match Hashtbl.find_opt groups key with
-                  | Some a -> a
-                  | None ->
-                      let a = fresh_accumulator node agg operand in
-                      Hashtbl.add groups key a;
-                      a
-                in
-                accumulate ctx accum
-              end)))
+          Cursor.iter
+            (Relation_file.cursor ?keep s.rel Relation_file.Full_scan)
+            (decoded s (fun tuple ->
+                 Trace.add_tuples tn 1;
+                 let ctx = { Eval.bindings = [ binding s tuple ]; now } in
+                 let key = group_key ctx by in
+                 let accum =
+                   match Hashtbl.find_opt groups key with
+                   | Some a -> a
+                   | None ->
+                       let a = fresh_accumulator node agg operand in
+                       Hashtbl.add groups key a;
+                       a
+                 in
+                 accumulate ctx accum))))
     by_agg_tables;
   let rec eval_target ctx = function
     | Eagg (_, _, _ :: _) as node -> (
@@ -1611,12 +1581,10 @@ let run_retrieve ~now ~sources (r : retrieve) ~on_tuple =
         | Some i -> (Schema.attr (schema_of si) i).Schema.name
         | None -> assert false
       in
-      let inner_restriction = restriction_of substituted in
-      let inner_window = fence_window_for si ~restriction:inner_restriction in
-      let inner_visit =
-        restricted_visitor ~now ~restriction:inner_restriction si
+      let run_probe =
+        probe_runner ~restriction:(restriction_of substituted)
+          ~window:(fence_window_for si) si
       in
-      let run_probe = probe_runner ~window:inner_window si inner_visit in
       drive (scan_stage_label ())
         (fun scan_span ->
           let pspan =
@@ -1678,13 +1646,13 @@ let run_retrieve ~now ~sources (r : retrieve) ~on_tuple =
             if Array.length outer_arr > 0 then begin
               let ri = restriction_of inner in
               let window0, path =
-                resolve_access ~now ~restriction:ri ~access:(access_for si) si
+                resolve_access ~now ~as_of:window ~access:(access_for si) si
               in
               let envelope =
                 tjoin_envelope spec (Array.to_list outer_periods)
               in
               let window = Time_fence.narrow_valid window0 envelope in
-              scan_with_window ~now ~restriction:ri ~window ~path si (fun t ->
+              scan_with_window ~restriction:ri ~window ~path si (fun t ->
                   inner_tuples := t :: !inner_tuples)
             end;
             let inner_arr = Array.of_list (List.rev !inner_tuples) in
@@ -1836,10 +1804,10 @@ let run_retrieve ~now ~sources (r : retrieve) ~on_tuple =
                 let expand =
                   match probe with
                   | Some p when p.Plan.probe_var = v && tl = [] ->
-                      let restriction = restriction_of v in
-                      let window = fence_window_for s ~restriction in
-                      let visit = restricted_visitor ~now ~restriction s in
-                      let run_probe = probe_runner ~window s visit in
+                      let run_probe =
+                        probe_runner ~restriction:(restriction_of v)
+                          ~window:(fence_window_for s) s
+                      in
                       fun row push' ->
                         let b =
                           List.find

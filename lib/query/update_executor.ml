@@ -67,28 +67,49 @@ let stamp_new ~now ~valid ctx schema user_values =
 (* A modification targets versions that are current in both senses: not
    superseded in transaction time, and still valid (a temporal delete
    inserts a "validity ended" version whose valid-to is in the past; that
-   record documents history and must never be re-modified). *)
-let modifiable ~now schema tuple =
-  (match Schema.transaction_stop_index schema with
-  | Some i -> Chronon.is_forever (Tuple.get_time tuple i)
-  | None -> true)
-  &&
-  match Schema.valid_to_index schema with
-  | Some i -> Chronon.compare now (Tuple.get_time tuple i) < 0
-  | None -> true
-
-let qualifies ~now ~(source : Executor.source) ~where ~when_ tuple =
-  let schema = Relation_file.schema source.rel in
-  modifiable ~now schema tuple
-  &&
-  let ctx =
-    {
-      Eval.bindings = [ { Eval.var = source.var; schema; tuple } ];
-      now;
-    }
+   record documents history and must never be re-modified).  Tested on
+   the encoded record. *)
+let modifiable ~now schema =
+  let time_at i =
+    let off = Relation_file.attr_offset schema i in
+    fun record ->
+      Chronon.of_seconds (Int32.to_int (Bytes.get_int32_be record off))
   in
-  (match where with Some p -> Eval.pred ctx p | None -> true)
-  && match when_ with Some p -> Eval.temppred ctx p | None -> true
+  match
+    ( Option.map time_at (Schema.transaction_stop_index schema),
+      Option.map time_at (Schema.valid_to_index schema) )
+  with
+  | None, None -> None
+  | stop, valid_to ->
+      Some
+        (fun record ->
+          (match stop with
+          | Some stop -> Chronon.is_forever (stop record)
+          | None -> true)
+          &&
+          match valid_to with
+          | Some valid_to -> Chronon.compare now (valid_to record) < 0
+          | None -> true)
+
+(* Which versions qualify: [modifiable], then the whole [where], then the
+   whole [when], compiled once into the cursor's record filter so only
+   qualifying versions are decoded. *)
+let qualifying_filter ~now ~(source : Executor.source) ~where ~when_ =
+  let schema = Relation_file.schema source.rel in
+  let clauses =
+    List.filter_map Fun.id
+      [
+        Option.map (fun p -> Conjuncts.Where p) where;
+        Option.map (fun p -> Conjuncts.When p) when_;
+      ]
+  in
+  let clauses =
+    Restriction.compile ~schema ~var:source.var ~now ~window:None clauses
+  in
+  match (modifiable ~now schema, clauses) with
+  | None, keep | keep, None -> keep
+  | Some current, Some holds ->
+      Some (fun record -> current record && holds record)
 
 let collect_qualifying ~now ~(source : Executor.source) ~where ~when_ =
   (* Use keyed access when the where clause pins the relation's key; the
@@ -114,12 +135,11 @@ let collect_qualifying ~now ~(source : Executor.source) ~where ~when_ =
         | None -> Relation_file.Full_scan)
     | _ -> Relation_file.Full_scan
   in
-  let acc = ref [] in
-  Cursor.iter (Relation_file.cursor source.rel access) (fun tid record ->
-      let tuple = Relation_file.decode source.rel record in
-      if qualifies ~now ~source ~where ~when_ tuple then
-        acc := (tid, tuple) :: !acc);
-  List.rev !acc
+  let keep = qualifying_filter ~now ~source ~where ~when_ in
+  let decode = Relation_file.decode source.rel in
+  Cursor.fold (Relation_file.cursor ?keep source.rel access) ~init:[]
+    (fun acc tid record -> (tid, decode record) :: acc)
+  |> List.rev
 
 (* --- append --- *)
 

@@ -4,6 +4,7 @@ type t = {
   db_type : Db_type.t;
   user : attr array;
   all : attr array;
+  norms : string array;  (* [all]'s names in {!norm_name} form *)
   size : int;
   valid_from : int option;
   valid_to : int option;
@@ -57,10 +58,11 @@ let create ~db_type user_list =
           let size =
             Array.fold_left (fun acc a -> acc + Attr_type.size a.ty) 0 all
           in
+          let norms = Array.map (fun a -> norm a.name) all in
           let find name =
             let rec go i =
               if i >= Array.length all then None
-              else if norm all.(i).name = name then Some i
+              else if String.equal norms.(i) name then Some i
               else go (i + 1)
             in
             go (Array.length user)
@@ -70,6 +72,7 @@ let create ~db_type user_list =
               db_type;
               user;
               all;
+              norms;
               size;
               valid_from = find "valid from";
               valid_to = find "valid to";
@@ -93,8 +96,8 @@ let attr t i = t.all.(i)
 let index_of t name =
   let name = norm name in
   let rec go i =
-    if i >= Array.length t.all then None
-    else if norm t.all.(i).name = name then Some i
+    if i >= Array.length t.norms then None
+    else if String.equal t.norms.(i) name then Some i
     else go (i + 1)
   in
   go 0

@@ -353,18 +353,26 @@ type access_path =
 (* Every organization answers every access path with a batch cursor over
    raw records; keyless organizations degrade gracefully (a heap answers
    a probe with a full scan and the caller filters, as always).  This is
-   the single dispatch point the executor's plan nodes resolve through. *)
-let cursor ?window t access =
-  match (t.impl, access) with
-  | Heap_impl h, Full_scan -> Heap_file.scan_cursor ?window h
-  | Heap_impl h, Key_lookup key -> Heap_file.lookup_cursor ?window h key
-  | Heap_impl h, Key_range { lo; hi } -> Heap_file.range_cursor ?window h ~lo ~hi
-  | Hash_impl h, Full_scan -> Hash_file.scan_cursor ?window h
-  | Hash_impl h, Key_lookup key -> Hash_file.lookup_cursor ?window h key
-  | Hash_impl h, Key_range { lo; hi } -> Hash_file.range_cursor ?window h ~lo ~hi
-  | Isam_impl i, Full_scan -> Isam_file.scan_cursor ?window i
-  | Isam_impl i, Key_lookup key -> Isam_file.lookup_cursor ?window i key
-  | Isam_impl i, Key_range { lo; hi } -> Isam_file.range_cursor ?window i ~lo ~hi
+   the single dispatch point the executor's plan nodes resolve through.
+   [keep] filters each page's records after the access method's own
+   key/range filter, inside the cursor. *)
+let cursor ?window ?keep t access =
+  let c =
+    match (t.impl, access) with
+    | Heap_impl h, Full_scan -> Heap_file.scan_cursor ?window h
+    | Heap_impl h, Key_lookup key -> Heap_file.lookup_cursor ?window h key
+    | Heap_impl h, Key_range { lo; hi } ->
+        Heap_file.range_cursor ?window h ~lo ~hi
+    | Hash_impl h, Full_scan -> Hash_file.scan_cursor ?window h
+    | Hash_impl h, Key_lookup key -> Hash_file.lookup_cursor ?window h key
+    | Hash_impl h, Key_range { lo; hi } ->
+        Hash_file.range_cursor ?window h ~lo ~hi
+    | Isam_impl i, Full_scan -> Isam_file.scan_cursor ?window i
+    | Isam_impl i, Key_lookup key -> Isam_file.lookup_cursor ?window i key
+    | Isam_impl i, Key_range { lo; hi } ->
+        Isam_file.range_cursor ?window i ~lo ~hi
+  in
+  match keep with None -> c | Some keep -> Cursor.filtered c ~keep
 
 (* --- partition-parallel execution ---
 
@@ -544,7 +552,14 @@ let partition_preview ?window t ~parts access =
           in
           plan ~live_units:nheads ~live_pages:pages ~pruned:0)
 
-let partition_access ?window t ~parts access =
+(* [keep] ANDed after a shape's own record filter: what {!cursor} does. *)
+let and_keep keep filter =
+  match (filter, keep) with
+  | f, None -> f
+  | None, Some k -> Some k
+  | Some f, Some k -> Some (fun r -> f r && k r)
+
+let partition_access ?window ?keep t ~parts access =
   match shape ~charged:true t access with
   | None -> None
   | Some sh ->
@@ -576,6 +591,7 @@ let partition_access ?window t ~parts access =
       in
       (match sh with
       | Chain { pages; filter } ->
+          let filter = and_keep keep (Some filter) in
           let live =
             match w with
             | None -> pages
@@ -591,9 +607,10 @@ let partition_access ?window t ~parts access =
           in
           Some
             (parts_of live (fun slice pf' ->
-                 Cursor.of_pages ?window ~filter pf'
+                 Cursor.of_pages ?window ?filter pf'
                    ~pages:(List.to_seq slice)))
       | Heads { heads; filter } ->
+          let filter = and_keep keep filter in
           let live =
             match w with
             | None -> heads
@@ -634,13 +651,13 @@ let partition_scan ?window t ~parts =
    for schemas without transaction time — exactly when
    [Tuple.transaction_period] answers [None] and the as-of test passes
    every tuple. *)
-let transaction_overlaps t =
+let transaction_overlaps schema =
   match
-    (Schema.transaction_start_index t.schema,
-     Schema.transaction_stop_index t.schema)
+    (Schema.transaction_start_index schema,
+     Schema.transaction_stop_index schema)
   with
   | Some s, Some e ->
-      let soff = attr_offset t.schema s and eoff = attr_offset t.schema e in
+      let soff = attr_offset schema s and eoff = attr_offset schema e in
       Some
         (fun w ->
           let wf = Tdb_time.Period.from_ w and wt = Tdb_time.Period.to_ w in

@@ -69,11 +69,23 @@ type access_path =
     organization answers every question (a heap answers a [Key_lookup]
     with a full scan — it has no key — and the caller filters). *)
 
-val cursor : ?window:Time_fence.window -> t -> access_path -> Cursor.t
+val cursor :
+  ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
+  t ->
+  access_path ->
+  Cursor.t
 (** The unified access-path entry point: a batched cursor over raw
     records.  Batches are page-aligned, so the page I/O and fence-prune
     accounting are identical to the callback iterators below (which are
-    these cursors, drained).  Decode records with {!decode}. *)
+    these cursors, drained).  Decode records with {!decode}.
+
+    [?keep] is a record filter ANDed after the access method's own
+    key/range filter and applied per page, as each page's records are
+    copied out: the cursor yields exactly the unfiltered cursor's
+    records that pass [keep], in the same order, after the same reads,
+    fence checks and skips.  [keep] must be pure and do no pool I/O; it
+    runs on the copied record, so it may keep a reference to it. *)
 
 val decode : t -> bytes -> Tdb_relation.Tuple.t
 (** Decodes one raw record yielded by {!cursor}. *)
@@ -97,6 +109,7 @@ val partition_preview :
 
 val partition_access :
   ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
   t ->
   parts:int ->
   access_path ->
@@ -106,7 +119,9 @@ val partition_access :
     access walks (heap pages, hash buckets, ISAM primary pages — each
     owning its overflow chain outright), or, for a keyed hash probe,
     contiguous page runs of the key's single bucket chain.  Probe
-    partitions carry the sequential cursor's record filter, and an ISAM
+    partitions carry the sequential cursor's record filter, ANDed with
+    [?keep] exactly as {!cursor} applies it (so [keep] runs on worker
+    domains: it must be pure and domain-safe), and an ISAM
     probe pays its directory descent here, against the relation's own
     stats, exactly as the sequential cursor does at open time.
 
@@ -135,7 +150,7 @@ val partition_scan :
 (** [partition_access] at [Full_scan] (which always fans out). *)
 
 val transaction_overlaps :
-  t -> (Tdb_time.Period.t -> bytes -> bool) option
+  Tdb_relation.Schema.t -> (Tdb_time.Period.t -> bytes -> bool) option
 (** Tests a record's transaction period against a window straight from
     its encoded bytes — [Tuple.transaction_period] composed with
     [Period.overlaps], exactly, without allocating per record; [None]

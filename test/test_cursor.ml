@@ -642,6 +642,96 @@ let test_twostore_partition_conformance () =
         [ None; Some (window 950 1050) ])
     part_counts
 
+(* A record filter inside the cursor: with [keep], every access path
+   yields exactly the unfiltered cursor's records that pass [keep], in
+   the same order, after the same reads, fence checks and skips —
+   sequentially and partitioned alike. *)
+let fence_checks = Tdb_obs.Metric.counter "tdb_prune_fence_checks_total"
+
+let drain_access ?keep ?parts rel window access =
+  match parts with
+  | None -> (drain_cursor (Relation_file.cursor ?window ?keep rel access), 0)
+  | Some parts -> (
+      match Relation_file.partition_access ?window ?keep rel ~parts access with
+      | None -> Alcotest.fail "expected a partitionable access"
+      | Some ps ->
+          ( List.concat_map (fun (cursor, _) -> drain_cursor cursor) ps,
+            sum_reads (List.map snd ps) ))
+
+(* rows, reads (private partition pools plus the relation's own, which
+   an ISAM descent charges), fence checks and skips, from a cold pool *)
+let observe_access ?keep ?parts rel window access =
+  Buffer_pool.invalidate (Relation_file.pool rel);
+  Io_stats.reset (Relation_file.stats rel);
+  Time_fence.reset_pages_skipped ();
+  let checks = Tdb_obs.Metric.count fence_checks in
+  let rows, private_reads = drain_access ?keep ?parts rel window access in
+  ( rows,
+    private_reads + (Io_stats.snapshot (Relation_file.stats rel)).Io_stats.reads,
+    Tdb_obs.Metric.count fence_checks - checks,
+    Time_fence.pages_skipped () )
+
+let test_keep_conformance () =
+  let metrics = Tdb_obs.Metric.enabled () in
+  Tdb_obs.Metric.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tdb_obs.Metric.set_enabled metrics)
+  @@ fun () ->
+  let keep record = field record 0 mod 3 = 0 in
+  let accesses =
+    [
+      ("scan", Relation_file.Full_scan);
+      ("lookup", Relation_file.Key_lookup (Value.Int 50));
+      ( "range",
+        Relation_file.Key_range
+          { lo = Some (Value.Int 20); hi = Some (Value.Int 60) } );
+    ]
+  in
+  List.iter
+    (fun (label, org) ->
+      let rel = pr_rel org in
+      List.iter
+        (fun (tag, access) ->
+          List.iter
+            (fun w ->
+              List.iter
+                (fun parts ->
+                  let name =
+                    Printf.sprintf "%s %s%s%s" label tag
+                      (match parts with
+                      | None -> ""
+                      | Some p -> Printf.sprintf " parts=%d" p)
+                      (if w = None then "" else "+window")
+                  in
+                  let rows, reads, checks, skips =
+                    observe_access ?parts rel w access
+                  in
+                  let rows_k, reads_k, checks_k, skips_k =
+                    observe_access ~keep ?parts rel w access
+                  in
+                  Alcotest.(check bool)
+                    (name ^ ": kept rows = filtered rows, in order")
+                    true
+                    (rows_k
+                    = List.filter
+                        (fun (_, r) -> keep (Bytes.of_string r))
+                        rows);
+                  Alcotest.(check bool) (name ^ ": keep filters something")
+                    true
+                    (rows = [] || List.length rows_k < List.length rows);
+                  Alcotest.(check int) (name ^ ": same reads") reads reads_k;
+                  Alcotest.(check int)
+                    (name ^ ": same fence checks")
+                    checks checks_k;
+                  Alcotest.(check int) (name ^ ": same skips") skips skips_k)
+                [ None; Some 1; Some 3 ])
+            [ None; Some (window 305 455) ])
+        accesses)
+    [
+      ("heap", None);
+      ("hash", Some (Relation_file.Hash { key_attr = 0; fillfactor = 50 }));
+      ("isam", Some (Relation_file.Isam { key_attr = 0; fillfactor = 100 }));
+    ]
+
 let suites =
   [
     ( "cursor",
@@ -663,5 +753,7 @@ let suites =
           test_partition_empty;
         Alcotest.test_case "two-level partition conformance" `Quick
           test_twostore_partition_conformance;
+        Alcotest.test_case "keep filter conformance" `Quick
+          test_keep_conformance;
       ] );
   ]

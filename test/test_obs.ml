@@ -300,14 +300,11 @@ let chill (w : Workload.t) =
       | None -> ())
     (Database.relation_names db)
 
+let is_partition (n : Trace.node) =
+  String.length n.Trace.name >= 9 && String.sub n.Trace.name 0 9 = "partition"
+
 let rec collect_partitions (n : Trace.node) acc =
-  let acc =
-    if
-      String.length n.Trace.name >= 9
-      && String.sub n.Trace.name 0 9 = "partition"
-    then n :: acc
-    else acc
-  in
+  let acc = if is_partition n then n :: acc else acc in
   List.fold_left (fun acc c -> collect_partitions c acc) acc (Trace.children n)
 
 let test_parallel_partition_span_sum () =
@@ -378,6 +375,52 @@ let test_parallel_partition_span_sum () =
 let rec find_span pred (n : Trace.node) =
   if pred n then Some n
   else List.find_map (find_span pred) (Trace.children n)
+
+(* The calling domain drains partitions too (it runs one of the worker
+   loops).  Its reads must land on its partition's span only: a full,
+   unpruned scan leaves the scan span itself with no reads, and the tree
+   sums to the Io_stats total, at 2 and at 4 workers. *)
+let test_main_domain_partitions_charged_once () =
+  with_flags ~metrics:true ~tracing:false @@ fun () ->
+  let w = Workload.build ~kind:Workload.Temporal ~loading:100 ~seed:37 () in
+  for round = 1 to 3 do
+    Evolve.uniform_round w ~round
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.set_parallelism None;
+      Tdb_query.Executor.set_parallel_min_pages None)
+  @@ fun () ->
+  Tdb_query.Executor.set_parallel_min_pages (Some 0);
+  let src = "retrieve (h.id, h.seq) where h.amount = 69400" in
+  List.iter
+    (fun workers ->
+      Engine.set_parallelism (Some workers);
+      chill w;
+      let label = Printf.sprintf "%d workers" workers in
+      match
+        Tdb_storage.Time_fence.with_pruning false (fun () ->
+            Engine.analyze w.Workload.db src)
+      with
+      | Error e -> Alcotest.failf "%s: %s" label e
+      | Ok a -> (
+          match a.Engine.a_outcome with
+          | Engine.Rows { io; trace = Some node; _ } ->
+              let is_scan (n : Trace.node) =
+                List.exists is_partition (Trace.children n)
+              in
+              let scan =
+                match find_span is_scan node with
+                | Some n -> n
+                | None -> Alcotest.failf "%s: no partitioned scan span" label
+              in
+              Alcotest.(check int) (label ^ ": scan span's own reads") 0
+                scan.Trace.reads;
+              Alcotest.(check int)
+                (label ^ ": span tree sums to the Io_stats total")
+                io.Tdb_query.Executor.input_reads (Trace.total_reads node)
+          | _ -> Alcotest.failf "%s: expected a traced Rows outcome" label))
+    [ 2; 4 ]
 
 let test_temporal_join_span_sum () =
   (* The operator I/O attribution pin for the temporal join: on a
@@ -479,5 +522,7 @@ let suites =
           `Slow test_parallel_partition_span_sum;
         Alcotest.test_case "temporal join span sum (uc 15, 4 workers)" `Slow
           test_temporal_join_span_sum;
+        Alcotest.test_case "main-domain partitions charged once" `Quick
+          test_main_domain_partitions_charged_once;
       ] );
   ]

@@ -55,6 +55,10 @@ let test_lookup () =
   Alcotest.(check (option int)) "case insensitive" (Some 0) (Schema.index_of s "ID");
   Alcotest.(check (option int)) "implicit attr" (Some 4)
     (Schema.index_of s "transaction start");
+  Alcotest.(check (option int)) "underscore matches space, any case" (Some 5)
+    (Schema.index_of s "Transaction_STOP");
+  Alcotest.(check (option int)) "surrounding blanks ignored" (Some 1)
+    (Schema.index_of s " amount ");
   Alcotest.(check (option int)) "missing" None (Schema.index_of s "salary")
 
 let test_validation () =
