@@ -153,12 +153,13 @@ let children n = List.rev n.children
    main-domain only), so the fold attributes its pages here instead of
    dumping them on the parent — making per-domain skew visible while the
    subtree still sums to the query's exact page total. *)
-let note_partition ~parent ~index ~domain ~busy_s ~rows ~reads ~writes =
+let note_partition ~parent ~index ~domain ~busy_s ~rows ~reads ~writes ~skips =
   if is_real parent then begin
     let n = fresh (Printf.sprintf "partition %d" index) in
     n.attrs <- [ ("domain", string_of_int domain) ];
     n.reads <- reads;
     n.writes <- writes;
+    n.skips <- skips;
     n.tuples <- rows;
     n.elapsed <- busy_s;
     parent.children <- n :: parent.children

@@ -80,10 +80,11 @@ val note_partition :
   rows:int ->
   reads:int ->
   writes:int ->
+  skips:int ->
   unit
 (** Record one parallel-scan partition as a child span of [parent],
-    carrying the worker's folded page I/O, row count, domain id and busy
-    wall time.  Built on the main domain after the Pool join (the tracer
+    carrying the worker's folded page I/O and fence skips, row count,
+    domain id and busy wall time.  Built on the main domain after the Pool join (the tracer
     stack is main-domain only); keeps the subtree page sum exact. *)
 
 val is_real : node -> bool

@@ -12,6 +12,7 @@ type t = {
   r : Metric.counter;
   ev_w : Metric.counter;  (* writes forced by eviction *)
   sy_w : Metric.counter;  (* writes from explicit flush/sync *)
+  sk : Metric.counter;  (* pages a fence-bounded walk skipped unread *)
 }
 
 let global_reads = Metric.counter "tdb_io_page_reads_total"
@@ -22,12 +23,15 @@ let global_eviction_writes =
 let global_sync_writes =
   Metric.counter ~labels:[ ("kind", "sync") ] "tdb_io_page_writes_total"
 
-let create () = { r = Metric.raw (); ev_w = Metric.raw (); sy_w = Metric.raw () }
+let create () =
+  { r = Metric.raw (); ev_w = Metric.raw (); sy_w = Metric.raw (); sk = Metric.raw () }
+
 let reads t = Metric.count t.r
 let eviction_writes t = Metric.count t.ev_w
 let sync_writes t = Metric.count t.sy_w
 let writes t = eviction_writes t + sync_writes t
 let total t = reads t + writes t
+let skips t = Metric.count t.sk
 
 let count_read t =
   Metric.incr t.r;
@@ -43,6 +47,9 @@ let count_sync_write t =
   Metric.incr t.sy_w;
   Metric.incr global_sync_writes;
   Trace.note_write ()
+
+(* Raw only: [Time_fence.note_skipped] feeds the metric and the span. *)
+let count_skip t = Metric.incr t.sk
 
 (* Historical name; before the eviction/sync split every write went
    through here.  Kept for call sites that flush outside the pool. *)
@@ -61,6 +68,7 @@ let absorb ?(trace = true) ~into src =
   Metric.add into.r r;
   Metric.add into.ev_w ev;
   Metric.add into.sy_w sy;
+  Metric.add into.sk (skips src);
   if trace then begin
     for _ = 1 to r do
       Trace.note_read ()
@@ -73,7 +81,8 @@ let absorb ?(trace = true) ~into src =
 let reset t =
   Metric.reset_counter t.r;
   Metric.reset_counter t.ev_w;
-  Metric.reset_counter t.sy_w
+  Metric.reset_counter t.sy_w;
+  Metric.reset_counter t.sk
 
 type snapshot = { reads : int; writes : int }
 

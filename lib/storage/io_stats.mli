@@ -23,9 +23,18 @@ val writes : t -> int
 val eviction_writes : t -> int
 val sync_writes : t -> int
 val total : t -> int
+val skips : t -> int
+(** Pages a fence-bounded walk through this pool skipped without reading
+    them.  A parallel partition's skips are counted here, next to its
+    reads, so they can be attributed to that partition. *)
+
 val count_read : t -> unit
 val count_eviction_write : t -> unit
 val count_sync_write : t -> unit
+
+val count_skip : t -> unit
+(** Count one skipped page against this pool only: the global prune
+    counter and the trace span are {!Time_fence.note_skipped}'s job. *)
 
 val count_write : t -> unit
 (** Alias for {!count_sync_write} (the historical single counter). *)

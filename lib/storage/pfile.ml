@@ -220,16 +220,20 @@ let page_records t ~page =
   done;
   !records
 
+let note_skip t =
+  Time_fence.note_skipped 1;
+  Io_stats.count_skip (Buffer_pool.stats t.pool)
+
 let page_step ?window t ~page =
   if skippable t window page then begin
-    Time_fence.note_skipped 1;
+    note_skip t;
     []
   end
   else page_records t ~page
 
 let chain_step ?window t ~page =
   if skippable t window page then begin
-    Time_fence.note_skipped 1;
+    note_skip t;
     ([], cached_link t page)
   end
   else begin
