@@ -2152,7 +2152,7 @@ let run () =
   (* The temporal-algebra operators change which pages a join touches;
      every paper-faithful section keeps measuring the nested-loop cost
      model, and only the tjoin section toggles the operators on. *)
-  Executor.set_temporal_join (Some false);
+  Executor.with_temporal_join false @@ fun () ->
   print_endline
     "Reproducing Ahn & Snodgrass, \"Performance Evaluation of a Temporal\n\
      Database Management System\" (SIGMOD 1986).\n";

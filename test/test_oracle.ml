@@ -871,11 +871,8 @@ let test_scale10_parallel_probes () =
     Printf.sprintf "retrieve (%s.id, %s.seq, %s.amount) where %s%s" var var
       var probe temporal
   in
-  Fun.protect ~finally:(fun () ->
-      Engine.set_parallelism None;
-      Tdb_query.Executor.set_parallel_min_pages None)
-  @@ fun () ->
-  Executor.set_parallel_min_pages (Some 0);
+  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
+  Executor.with_parallel_min_pages 0 @@ fun () ->
   for _ = 1 to 40 do
     let src = gen_query () in
     Engine.set_parallelism (Some 1);

@@ -59,13 +59,10 @@ let run_query (w : Workload.t) src =
 
 let test_parallel_matches_sequential () =
   let w = evolved_temporal () in
-  Fun.protect ~finally:(fun () ->
-      Engine.set_parallelism None;
-      Executor.set_parallel_min_pages None)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
   (* Paper-scale relations sit under the admission floor; drop it so the
      fan-out machinery is what this test exercises. *)
-  Executor.set_parallel_min_pages (Some 0);
+  Executor.with_parallel_min_pages 0 @@ fun () ->
   List.iter
     (fun (name, src) ->
       Engine.set_parallelism (Some 1);
@@ -92,11 +89,8 @@ let test_scale10_matches_sequential () =
   for round = 1 to 2 do
     Evolve.uniform_round w ~round
   done;
-  Fun.protect ~finally:(fun () ->
-      Engine.set_parallelism None;
-      Executor.set_parallel_min_pages None)
-  @@ fun () ->
-  Executor.set_parallel_min_pages (Some 0);
+  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
+  Executor.with_parallel_min_pages 0 @@ fun () ->
   List.iter
     (fun (name, src) ->
       Engine.set_parallelism (Some 1);
@@ -138,13 +132,10 @@ let test_domain_stress () =
   let w = evolved_temporal () in
   let qs = Array.of_list (queries ()) in
   let n = Array.length qs in
-  Fun.protect ~finally:(fun () ->
-      Engine.set_parallelism None;
-      Executor.set_parallel_min_pages None)
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
   (* Drop the admission floor so the stress domains really do fan out
      internally, not just interleave statements. *)
-  Executor.set_parallel_min_pages (Some 0);
+  Executor.with_parallel_min_pages 0 @@ fun () ->
   Engine.set_parallelism (Some 1);
   let baseline =
     Array.to_list
