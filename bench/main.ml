@@ -85,6 +85,22 @@ module Clock = Tdb_time.Clock
 
 let seed = 850331 (* the TR number, for luck *)
 
+(* The paper's point in the engine's configuration space.  Its cost model
+   charges every page of a chain, so the grid and figure sections must
+   not skip-scan, or Figure 9's growth-rate law dissolves.  One worker
+   keeps every figure measuring what previous revisions measured,
+   whatever the host's core count.  The temporal-algebra operators
+   change which pages a join touches, so every paper-faithful section
+   keeps the nested-loop cost model.  The pruning, parallel, scale and
+   tjoin sections each vary one field of this record. *)
+let paper =
+  {
+    Executor.default_config with
+    workers = 1;
+    temporal_join = false;
+    pruning = false;
+  }
+
 (* Flags are read before the constants below: top-level bindings evaluate
    in order, so a smoke run shrinks the whole grid. *)
 let smoke = Array.exists (( = ) "--smoke") (Sys.argv : string array)
@@ -152,7 +168,7 @@ let measure_cell (w : Workload.t) =
     List.filter_map
       (fun qid ->
         Option.map
-          (fun src -> (qid, Evolve.measure_query w src))
+          (fun src -> (qid, Evolve.measure_query ~config:paper w src))
           (Paper_queries.text qid w.Workload.kind))
       Paper_queries.all
   in
@@ -637,7 +653,7 @@ let indexed_q07_two_level store idx value =
 
 let measure_query_db db src =
   Database.reset_io db;
-  match Engine.execute db src with
+  match Engine.execute ~config:paper db src with
   | Ok [ Engine.Rows { io; _ } ] -> io.Tdb_query.Executor.input_reads
   | Ok _ -> Tdb_error.internal "expected rows: %s" src
   | Error e -> Tdb_error.internal "bench query failed: %s" e
@@ -717,7 +733,10 @@ let pruning_section () =
     "(the same evolving temporal database measured twice per update count;\n\
     \ 'skip' counts pages refuted by their fence, 'ratio' is the fenced\n\
     \ growth rate over the unfenced one, 'same' checks bit-identical rows)";
-  let pr = Pruning.run ~scale ~kind:Workload.Temporal ~loading:100 ~seed ~max_uc () in
+  let pr =
+    Pruning.run ~scale ~config:paper ~kind:Workload.Temporal ~loading:100 ~seed
+      ~max_uc ()
+  in
   print_endline (Pruning.table pr);
   Printf.printf
     "(rollback queries at UC %d: %d pages skipped, worst growth ratio %s -\n\
@@ -816,7 +835,7 @@ let ablation_buffers (conv_w : Workload.t) =
         :: List.map
              (fun qid ->
                let src = Option.get (Paper_queries.text qid Workload.Temporal) in
-               string_of_int (Evolve.measure_query conv_w src))
+               string_of_int (Evolve.measure_query ~config:paper conv_w src))
              qs)
       [ 1; 8; 64; 4096 ]
   in
@@ -873,7 +892,7 @@ let ablation_overflow_placement () =
     let q01 = Option.get (Paper_queries.text Paper_queries.Q01 Workload.Rollback) in
     List.init 9 (fun uc ->
         if uc > 0 then Evolve.uniform_round w ~round:uc;
-        Evolve.measure_query w q01)
+        Evolve.measure_query ~config:paper w q01)
   in
   let first_fit = measure true in
   let tail = measure false in
@@ -929,7 +948,9 @@ let timing (temporal100_w : Workload.t) env =
   print_endline "== Timing (bechamel): wall clock per operation ==";
   let open Bechamel in
   let query name src w =
-    Test.make ~name (Staged.stage (fun () -> ignore (Evolve.measure_query w src)))
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore (Evolve.measure_query ~config:paper w src)))
   in
   let tests =
     [
@@ -1008,13 +1029,13 @@ let throughput_queries =
 
 let throughput_measure (w : Workload.t) qid =
   let src = Option.get (Paper_queries.text qid Workload.Temporal) in
-  let tp_reads, tp_tuples = Evolve.measure_query_result w src in
+  let tp_reads, tp_tuples = Evolve.measure_query_result ~config:paper w src in
   let best = ref infinity in
   let runs = ref 0 in
   let deadline = Unix.gettimeofday () +. 0.4 in
   while !runs < 3 || (!runs < 200 && Unix.gettimeofday () < deadline) do
     let t0 = Unix.gettimeofday () in
-    ignore (Evolve.measure_query_result w src);
+    ignore (Evolve.measure_query_result ~config:paper w src);
     let dt = Unix.gettimeofday () -. t0 in
     if dt < !best then best := dt;
     incr runs
@@ -1180,8 +1201,8 @@ type parallel_series = {
 let parallel_queries = Paper_queries.[ Q01; Q03; Q04; Q11 ]
 let parallel_workers = [ 1; 2; 3; 4 ]
 
-let parallel_rows (w : Workload.t) src =
-  match Engine.execute w.Workload.db src with
+let parallel_rows ~config (w : Workload.t) src =
+  match Engine.execute ~config w.Workload.db src with
   | Ok [ Engine.Rows { tuples; _ } ] ->
       List.map
         (fun tu ->
@@ -1190,33 +1211,36 @@ let parallel_rows (w : Workload.t) src =
   | Ok _ -> Tdb_error.internal "expected rows: %s" src
   | Error e -> Tdb_error.internal "bench query failed: %s" e
 
+(* Best wall time of one query under [config]: at least 3 runs, then
+   more for up to 0.3 s (at most 100). *)
+let best_wall ~config w src =
+  let best = ref infinity in
+  let runs = ref 0 in
+  let deadline = Unix.gettimeofday () +. 0.3 in
+  while !runs < 3 || (!runs < 100 && Unix.gettimeofday () < deadline) do
+    let t0 = Unix.gettimeofday () in
+    ignore (parallel_rows ~config w src);
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt < !best then best := dt;
+    incr runs
+  done;
+  !best
+
 let parallel_measure (w : Workload.t) ~uc qid =
   let src = Option.get (Paper_queries.text qid Workload.Temporal) in
-  Engine.set_parallelism (Some 1);
-  let reference = parallel_rows w src in
+  let reference = parallel_rows ~config:paper w src in
   let cells =
     List.map
       (fun workers ->
-        Engine.set_parallelism (Some workers);
-        let rows = parallel_rows w src in
-        let best = ref infinity in
-        let runs = ref 0 in
-        let deadline = Unix.gettimeofday () +. 0.3 in
-        while !runs < 3 || (!runs < 100 && Unix.gettimeofday () < deadline) do
-          let t0 = Unix.gettimeofday () in
-          ignore (parallel_rows w src);
-          let dt = Unix.gettimeofday () -. t0 in
-          if dt < !best then best := dt;
-          incr runs
-        done;
+        let config = { paper with workers } in
+        let rows = parallel_rows ~config w src in
         {
           pl_workers = workers;
-          pl_wall_s = !best;
+          pl_wall_s = best_wall ~config w src;
           pl_identical = rows = reference;
         })
       parallel_workers
   in
-  Engine.set_parallelism (Some 1);
   { pl_qid = qid; pl_uc = uc; pl_cells = cells }
 
 let parallel_section (evolved : Workload.t) =
@@ -1335,51 +1359,39 @@ let scale_sweep_scales = if smoke then [ 1; 10 ] else [ 1; 10; 100 ]
 let scale_sweep_workers = [ 1; 2; 4 ]
 let scale_sweep_rounds = 2
 
+(* The sweep runs with fence pruning on. *)
 let scale_measure (w : Workload.t) qid =
   let src = Option.get (Paper_queries.text qid Workload.Temporal) in
-  Engine.set_parallelism (Some 1);
-  let reference = parallel_rows w src in
+  let pruned = { paper with pruning = true } in
+  let reference = parallel_rows ~config:pruned w src in
   let cells =
     List.map
       (fun workers ->
-        Engine.set_parallelism (Some workers);
-        let rows = parallel_rows w src in
-        let best = ref infinity in
-        let runs = ref 0 in
-        let deadline = Unix.gettimeofday () +. 0.3 in
-        while !runs < 3 || (!runs < 100 && Unix.gettimeofday () < deadline) do
-          let t0 = Unix.gettimeofday () in
-          ignore (parallel_rows w src);
-          let dt = Unix.gettimeofday () -. t0 in
-          if dt < !best then best := dt;
-          incr runs
-        done;
+        let config = { pruned with workers } in
+        let rows = parallel_rows ~config w src in
         {
           sc_workers = workers;
-          sc_wall_s = !best;
+          sc_wall_s = best_wall ~config w src;
           sc_identical = rows = reference;
         })
       scale_sweep_workers
   in
-  Engine.set_parallelism (Some 1);
   { sc_qid = qid; sc_scale = w.Workload.scale; sc_cells = cells }
 
 let scale_section () =
   print_endline
     "== Scale sweep: wall time vs workers as the data grows (temporal 100%) ==";
   let series =
-    Time_fence.with_pruning true (fun () ->
-        List.concat_map
-          (fun sc ->
-            let w =
-              Workload.build ~scale:sc ~kind:Workload.Temporal ~loading:100
-                ~seed ()
-            in
-            for round = 1 to scale_sweep_rounds do
-              Evolve.uniform_round w ~round
-            done;
-            List.map (scale_measure w) scale_sweep_queries)
-          scale_sweep_scales)
+    List.concat_map
+      (fun sc ->
+        let w =
+          Workload.build ~scale:sc ~kind:Workload.Temporal ~loading:100 ~seed ()
+        in
+        for round = 1 to scale_sweep_rounds do
+          Evolve.uniform_round w ~round
+        done;
+        List.map (scale_measure w) scale_sweep_queries)
+      scale_sweep_scales
   in
   let rows =
     List.map
@@ -1504,7 +1516,7 @@ let durability_rows = if smoke then 40 else 150
 let durability_sweeps = if smoke then 2 else 4
 
 let durability_exec db src =
-  match Engine.execute db src with
+  match Engine.execute ~config:paper db src with
   | Ok _ -> ()
   | Error e -> Tdb_error.internal "durability workload failed on %s: %s" src e
 
@@ -1729,12 +1741,13 @@ let concurrency_duration = if smoke then 0.3 else 1.0
 
 let concurrency_measure ~readers ~mode =
   let w = Workload.build ~scale ~kind:Workload.Temporal ~loading:100 ~seed () in
-  let inst = Db_instance.of_database w.Workload.db in
+  let inst = Db_instance.of_database ~config:paper w.Workload.db in
   let nkeys = Workload.n_tuples * w.Workload.scale in
   let stop = Atomic.make false in
   let execute session src =
     match mode with
-    | `Serialized -> Result.map (fun _ -> ()) (Engine.execute w.Workload.db src)
+    | `Serialized ->
+        Result.map (fun _ -> ()) (Engine.execute ~config:paper w.Workload.db src)
     | `Snapshot -> Result.map (fun _ -> ()) (Session.execute_one session src)
   in
   let writer () =
@@ -1923,24 +1936,13 @@ let q09c_text =
   {|retrieve (h.id, i.id, i.amount) where h.amount = i.amount
     when h overlap i and i overlap "now"|}
 
-let tjoin_best w src =
-  let best = ref infinity in
-  let runs = ref 0 in
-  let deadline = Unix.gettimeofday () +. 0.3 in
-  while !runs < 3 || (!runs < 100 && Unix.gettimeofday () < deadline) do
-    let t0 = Unix.gettimeofday () in
-    ignore (parallel_rows w src);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    incr runs
-  done;
-  !best
-
 let tjoin_measure (w : Workload.t) ~uc ~query src =
-  let off_rows = Executor.with_temporal_join false (fun () -> parallel_rows w src) in
-  let on_rows = Executor.with_temporal_join true (fun () -> parallel_rows w src) in
-  let off_s = Executor.with_temporal_join false (fun () -> tjoin_best w src) in
-  let on_s = Executor.with_temporal_join true (fun () -> tjoin_best w src) in
+  let off = { paper with temporal_join = false } in
+  let on = { paper with temporal_join = true } in
+  let off_rows = parallel_rows ~config:off w src in
+  let on_rows = parallel_rows ~config:on w src in
+  let off_s = best_wall ~config:off w src in
+  let on_s = best_wall ~config:on w src in
   {
     tj_query = query;
     tj_uc = uc;
@@ -2139,20 +2141,6 @@ let write_json path doc =
 
 let run () =
   let t0 = Unix.gettimeofday () in
-  (* The paper's cost model charges every page of a chain: the grid and
-     figure sections must not skip-scan, or Figure 9's growth-rate law
-     dissolves.  Only the pruning section turns fences on (and off)
-     explicitly. *)
-  Time_fence.set_pruning false;
-  (* Pin the executor to one worker so the cost grid and every figure
-     measure exactly what previous revisions measured, whatever the host's
-     core count; only the parallel section varies the worker count (and
-     restores this pin afterwards). *)
-  Engine.set_parallelism (Some 1);
-  (* The temporal-algebra operators change which pages a join touches;
-     every paper-faithful section keeps measuring the nested-loop cost
-     model, and only the tjoin section toggles the operators on. *)
-  Executor.with_temporal_join false @@ fun () ->
   print_endline
     "Reproducing Ahn & Snodgrass, \"Performance Evaluation of a Temporal\n\
      Database Management System\" (SIGMOD 1986).\n";

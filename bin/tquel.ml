@@ -42,8 +42,14 @@ module Executor = Tdb_query.Executor
 module Plan = Tdb_query.Plan
 
 (* The shell's execution context: the shared instance, the interactive
-   session, and the --sessions stress width. *)
-type ctx = { inst : Db_instance.t; session : Session.t; stress : int }
+   session, the --sessions stress width, and whether --profile traces
+   every statement. *)
+type ctx = {
+  inst : Db_instance.t;
+  session : Session.t;
+  stress : int;
+  profile : bool;
+}
 
 let db_of ctx = Db_instance.database ctx.inst
 
@@ -74,10 +80,10 @@ let print_outcome outcome =
       Printf.printf "%d tuples qualified, %d versions inserted\n" matched
         inserted
   | Engine.Ack msg -> print_endline msg);
-  match trace_of outcome with
-  | Some node when Tdb_obs.Trace.enabled () ->
-      print_string (Tdb_obs.Trace.render node)
-  | _ -> ()
+  (* only a traced statement carries a tree *)
+  Option.iter
+    (fun node -> print_string (Tdb_obs.Trace.render node))
+    (trace_of outcome)
 
 (* Leading-keyword prefixes: "profile <statements>" runs the rest of the
    input with span tracing enabled for just that input; "explain analyze
@@ -152,7 +158,8 @@ let run_stress_retrieve ctx stmt =
             true
           end)
 
-let run_plain ctx src =
+let run_plain ?(trace = false) ctx src =
+  let trace = trace || ctx.profile in
   if ctx.stress > 1 then
     match Tdb_tquel.Parser.parse_program src with
     | Error e ->
@@ -163,7 +170,7 @@ let run_plain ctx src =
           (fun stmt ->
             if Engine.read_only stmt then run_stress_retrieve ctx stmt
             else
-              match Session.execute_statement ctx.session stmt with
+              match Session.execute_statement ~trace ctx.session stmt with
               | Ok outcome ->
                   print_outcome outcome;
                   true
@@ -172,7 +179,7 @@ let run_plain ctx src =
                   false)
           stmts
   else
-    match Session.execute ctx.session src with
+    match Session.execute ~trace ctx.session src with
     | Ok outcomes ->
         List.iter print_outcome outcomes;
         true
@@ -203,12 +210,7 @@ let run_source ctx src =
   | None -> (
       match strip_profile src with
       | None -> run_plain ctx src
-      | Some rest ->
-          let prev = Tdb_obs.Trace.enabled () in
-          Tdb_obs.Trace.set_enabled true;
-          Fun.protect
-            ~finally:(fun () -> Tdb_obs.Trace.set_enabled prev)
-            (fun () -> run_plain ctx rest))
+      | Some rest -> run_plain ~trace:true ctx rest)
 
 let list_relations db =
   match Database.relation_names db with
@@ -391,16 +393,16 @@ let warn_recoveries db =
 
 let statement_exit ok = if ok then 0 else Tdb_error.exit_code Tdb_error.Query
 
-let run_session dir script command stress =
+let run_session ~config ~profile dir script command stress =
   match Database.create ?dir () with
   | Error e ->
       Printf.eprintf "cannot open database: %s\n" e;
       1
   | Ok db ->
       warn_recoveries db;
-      let inst = Db_instance.of_database db in
+      let inst = Db_instance.of_database ~config db in
       let session = Session.open_ ~name:"main" inst in
-      let ctx = { inst; session; stress } in
+      let ctx = { inst; session; stress; profile } in
       let finish code =
         Session.close session;
         Database.close db;
@@ -427,23 +429,15 @@ let run_session dir script command stress =
 (* Storage-level failures — corruption, I/O — stop the process with a
    class-specific exit code and a one-line message, never a backtrace. *)
 let main dir script command profile workers log sessions =
-  if profile then Tdb_obs.Trace.set_enabled true;
-  Option.iter
-    (fun path ->
-      (* --log overrides TDB_LOG but keeps the env-tuned knobs. *)
-      let slow_s =
-        Option.map
-          (fun ms -> ms /. 1000.)
-          (Option.bind (Sys.getenv_opt "TDB_LOG_SLOW_MS") float_of_string_opt)
-      in
-      let max_bytes =
-        Option.bind (Sys.getenv_opt "TDB_LOG_MAX_BYTES") int_of_string_opt
-      in
-      Tdb_obs.Statement_log.set ?slow_s ?max_bytes (Some path))
-    log;
-  Engine.set_parallelism workers;
+  (* --log overrides TDB_LOG but keeps the env-tuned knobs. *)
+  Option.iter (fun path -> Tdb_obs.Statement_log.set (Some path)) log;
+  let config =
+    match workers with
+    | None -> Executor.default_config
+    | Some n -> { Executor.default_config with workers = max 1 n }
+  in
   let stress = max 1 sessions in
-  try run_session dir script command stress
+  try run_session ~config ~profile dir script command stress
   with Tdb_error.Error (cls, msg) ->
     Printf.eprintf "fatal %s\n" (Tdb_error.message cls msg);
     Tdb_error.exit_code cls

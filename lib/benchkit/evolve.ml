@@ -4,8 +4,8 @@ module Relation_file = Tdb_storage.Relation_file
 module Chronon = Tdb_time.Chronon
 module Clock = Tdb_time.Clock
 
-let run db src =
-  match Engine.execute db src with
+let run ?config db src =
+  match Engine.execute ?config db src with
   | Ok outcomes -> outcomes
   | Error e ->
       Tdb_error.internal "benchmark statement failed: %s\n%s" e src
@@ -31,14 +31,14 @@ let hashed_access_cost (w : Workload.t) ~key =
   Relation_file.lookup rel (Tdb_relation.Value.Int key) (fun _ _ -> ());
   Tdb_storage.Io_stats.reads (Relation_file.stats rel)
 
-let measure_query_result (w : Workload.t) src =
+let measure_query_result ?config (w : Workload.t) src =
   Database.reset_io w.Workload.db;
-  match run w.Workload.db src with
+  match run ?config w.Workload.db src with
   | [ Engine.Rows { io; tuples; _ } ] ->
       (io.Tdb_query.Executor.input_reads, List.length tuples)
   | _ -> Tdb_error.internal "expected a single retrieve: %s" src
 
-let measure_query w src = fst (measure_query_result w src)
+let measure_query ?config w src = fst (measure_query_result ?config w src)
 
 let sizes (w : Workload.t) =
   ( Relation_file.npages (Workload.h_rel w),

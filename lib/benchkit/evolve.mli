@@ -23,11 +23,15 @@ val hashed_access_cost : Workload.t -> key:int -> int
 (** Pages read by a hashed access to one key of [h] (Q01's operation),
     measured cold through the storage layer. *)
 
-val measure_query : Workload.t -> string -> int
-(** Input cost (pages read) of one TQuel query, measured cold: buffers
-    emptied and counters reset first.  Raises [Failure] on errors. *)
+val measure_query :
+  ?config:Tdb_query.Executor.config -> Workload.t -> string -> int
+(** Input cost (pages read) of one TQuel query run under [config]
+    (default {!Tdb_query.Executor.default_config}), measured cold:
+    buffers emptied and counters reset first.  Raises [Failure] on
+    errors. *)
 
-val measure_query_result : Workload.t -> string -> int * int
+val measure_query_result :
+  ?config:Tdb_query.Executor.config -> Workload.t -> string -> int * int
 (** (input pages, result rows). *)
 
 val sizes : Workload.t -> int * int

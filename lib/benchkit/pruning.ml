@@ -12,6 +12,7 @@
 
 module Database = Tdb_core.Database
 module Engine = Tdb_core.Engine
+module Executor = Tdb_query.Executor
 module Time_fence = Tdb_storage.Time_fence
 
 type measurement = {
@@ -34,9 +35,9 @@ type t = {
    epoch: the as-of-heavy section the fences exist for. *)
 let as_of_queries = Paper_queries.[ Q03; Q04; Q11 ]
 
-let run_query db src =
+let run_query ~config db src =
   Database.reset_io db;
-  match Engine.execute db src with
+  match Engine.execute ~config db src with
   | Ok [ Engine.Rows { io; tuples; _ } ] ->
       (io.Tdb_query.Executor.input_reads, tuples)
   | Ok _ ->
@@ -44,18 +45,18 @@ let run_query db src =
         src
   | Error e -> Tdb_error.internal "pruning query failed: %s" e
 
-let measure (w : Workload.t) src =
+let measure ~(config : Executor.config) (w : Workload.t) src =
   let cost_off, rows_off =
-    Time_fence.with_pruning false (fun () -> run_query w.Workload.db src)
+    run_query ~config:{ config with pruning = false } w.Workload.db src
   in
   Time_fence.reset_pages_skipped ();
   let cost_on, rows_on =
-    Time_fence.with_pruning true (fun () -> run_query w.Workload.db src)
+    run_query ~config:{ config with pruning = true } w.Workload.db src
   in
   let skipped = Time_fence.pages_skipped () in
   { cost_off; cost_on; skipped; identical = rows_off = rows_on }
 
-let run ?(scale = 1) ~kind ~loading ~seed ~max_uc () =
+let run ?(scale = 1) ~config ~kind ~loading ~seed ~max_uc () =
   let w = Workload.build ~scale ~kind ~loading ~seed () in
   let texted =
     List.filter_map
@@ -69,7 +70,7 @@ let run ?(scale = 1) ~kind ~loading ~seed ~max_uc () =
   in
   let measure_all uc =
     List.iter2
-      (fun (_, src) (_, cells) -> cells.(uc) <- measure w src)
+      (fun (_, src) (_, cells) -> cells.(uc) <- measure ~config w src)
       texted series
   in
   measure_all 0;

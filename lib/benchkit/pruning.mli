@@ -33,16 +33,16 @@ val as_of_queries : Paper_queries.id list
 
 val run :
   ?scale:int ->
+  config:Tdb_query.Executor.config ->
   kind:Workload.kind ->
   loading:int ->
   seed:int ->
   max_uc:int ->
   unit ->
   t
-(** Build a fresh workload and measure every applicable query twice (via
-    {!Tdb_storage.Time_fence.with_pruning}) at each update count,
-    evolving one uniform round between counts.  The global pruning switch
-    is restored afterwards. *)
+(** Build a fresh workload and measure every applicable query twice at
+    each update count — under [config] with [pruning] off, then on —
+    evolving one uniform round between counts. *)
 
 val growth : t -> qseries -> on:bool -> float
 (** Measured page-I/O slope [(cost(max_uc) - cost(0)) / max_uc] for the

@@ -37,17 +37,26 @@ let close_sink () =
       (try close_out s.oc with Sys_error _ -> ());
       state.sink <- None
 
-let open_sink ~slow_s ~max_bytes path =
+(* A knob the caller leaves out takes its environment value
+   (TDB_LOG_SLOW_MS, TDB_LOG_MAX_BYTES). *)
+let open_sink ?slow_s ?max_bytes path =
+  let env name parse = Option.bind (Sys.getenv_opt name) parse in
+  let slow_s =
+    match slow_s with
+    | None ->
+        Option.map (fun ms -> ms /. 1000.0)
+          (env "TDB_LOG_SLOW_MS" float_of_string_opt)
+    | s -> s
+  in
+  let max_bytes =
+    match max_bytes with
+    | None -> env "TDB_LOG_MAX_BYTES" int_of_string_opt
+    | m -> m
+  in
   close_sink ();
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   let size = out_channel_length oc in
   state.sink <- Some { path; oc; size; max_bytes; slow_s }
-
-let env_float name =
-  match Sys.getenv_opt name with None -> None | Some v -> float_of_string_opt v
-
-let env_int name =
-  match Sys.getenv_opt name with None -> None | Some v -> int_of_string_opt v
 
 (* Lazily honour the environment the first time anyone asks, so every
    entry point (engine, CLI, bench) sees the same configuration without
@@ -57,11 +66,7 @@ let ensure_configured () =
     state.configured <- true;
     match Sys.getenv_opt "TDB_LOG" with
     | None | Some "" -> ()
-    | Some path ->
-        let slow_s =
-          Option.map (fun ms -> ms /. 1000.0) (env_float "TDB_LOG_SLOW_MS")
-        in
-        open_sink ~slow_s ~max_bytes:(env_int "TDB_LOG_MAX_BYTES") path
+    | Some path -> open_sink path
   end
 
 let set ?slow_s ?max_bytes path =
@@ -72,7 +77,7 @@ let set ?slow_s ?max_bytes path =
       state.configured <- true;
       match path with
       | None -> close_sink ()
-      | Some p -> open_sink ~slow_s ~max_bytes p)
+      | Some p -> open_sink ?slow_s ?max_bytes p)
 
 let enabled () =
   Mutex.lock lock;

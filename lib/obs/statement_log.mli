@@ -22,7 +22,9 @@
 
 val set : ?slow_s:float -> ?max_bytes:int -> string option -> unit
 (** [set (Some path)] opens (appending) a log sink, replacing any
-    configured one; [set None] closes it.  Overrides the environment. *)
+    configured one; [set None] closes it.  Overrides [TDB_LOG]; a knob
+    left out takes its environment value ([TDB_LOG_SLOW_MS],
+    [TDB_LOG_MAX_BYTES]), as a [TDB_LOG] sink does. *)
 
 val enabled : unit -> bool
 val path : unit -> string option

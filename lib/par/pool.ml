@@ -5,39 +5,6 @@
    for many pages, so spawn cost is noise, and spawn-per-run keeps the
    pool free of shutdown obligations and cross-query state. *)
 
-let override = ref None
-
-let set_workers = function
-  | None -> override := None
-  | Some n -> override := Some (max 1 n)
-
-(* Per-domain sequential pin.  A snapshot-isolated reader runs on its own
-   domain concurrently with other sessions; pinning that domain to one
-   worker keeps its statements from fanning out further (nested spawns,
-   cross-domain trace/span interleavings) without touching the global
-   worker configuration other sessions resolve against. *)
-let sequential_here = Domain.DLS.new_key (fun () -> false)
-let pin_sequential v = Domain.DLS.set sequential_here v
-let pinned_sequential () = Domain.DLS.get sequential_here
-
-let env_workers () =
-  match Sys.getenv_opt "TDB_WORKERS" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> Some n
-      | _ -> None)
-
-let workers () =
-  if pinned_sequential () then 1
-  else
-    match !override with
-    | Some n -> n
-    | None -> (
-        match env_workers () with
-        | Some n -> n
-        | None -> max 1 (Domain.recommended_domain_count ()))
-
 let run_sequential n task =
   (* Explicit 0..n-1 loop: [Array.init]'s evaluation order is
      unspecified, and a failing task must raise exactly where the
@@ -48,10 +15,10 @@ let run_sequential n task =
   done;
   Array.map Option.get results
 
-let run_tasks n task =
+let run_tasks ~workers n task =
   if n <= 0 then [||]
   else
-    let k = min (workers ()) n in
+    let k = min workers n in
     if k <= 1 then run_sequential n task
     else begin
       let results = Array.make n None in

@@ -1,7 +1,7 @@
 (** A small domain pool for parallel scan partitions.
 
     The pool's only job is deterministic fan-out/join: [run_tasks] takes
-    [n] independent task thunks, executes them on up to [workers ()]
+    [n] independent task thunks, executes them on up to [workers]
     domains (the calling domain included), and returns their results in
     task-index order.  Exceptions are captured per task; after the join
     the exception of the {e lowest-indexed} failing task is re-raised on
@@ -9,35 +9,14 @@
     structured error — the same one a sequential run would have hit
     first.
 
-    Worker count resolution, highest priority first:
-    - an explicit [set_workers] (the CLI [--workers] flag / the engine's
-      parallelism knob),
-    - the [TDB_WORKERS] environment variable,
-    - [Domain.recommended_domain_count ()].
-
-    With one worker (or one task) everything runs inline on the calling
+    The pool holds no configuration: each call says how wide it may go
+    (the executor passes the width its statement compiled with).  With
+    one worker (or one task) everything runs inline on the calling
     domain — no domains are spawned, making [workers = 1] literally the
     sequential engine. *)
 
-val set_workers : int option -> unit
-(** Override the worker count ([Some n], clamped to >= 1), or drop back
-    to environment/hardware resolution ([None]). *)
-
-val workers : unit -> int
-(** The resolved worker count (always >= 1).  Returns 1 on a domain pinned
-    by {!pin_sequential}. *)
-
-val pin_sequential : bool -> unit
-(** Pins (or unpins) the {e calling domain} to sequential execution:
-    while pinned, {!workers} answers 1 on this domain regardless of the
-    global configuration.  Snapshot-isolated reader sessions pin their
-    domain so concurrent statements never fan out into nested domain
-    spawns; other domains are unaffected. *)
-
-val pinned_sequential : unit -> bool
-(** Whether the calling domain is pinned by {!pin_sequential}. *)
-
-val run_tasks : int -> (int -> 'a) -> 'a array
-(** [run_tasks n task] evaluates [task i] for [0 <= i < n] across the
-    pool and returns the results indexed by [i].  Re-raises the first
-    failing task's exception (by task index) after all tasks finished. *)
+val run_tasks : workers:int -> int -> (int -> 'a) -> 'a array
+(** [run_tasks ~workers n task] evaluates [task i] for [0 <= i < n] on
+    at most [workers] domains and returns the results indexed by [i].
+    Re-raises the first failing task's exception (by task index) after
+    all tasks finished. *)

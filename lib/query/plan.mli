@@ -91,7 +91,7 @@ val choose :
 (** [sources] in order of first appearance in the query.
     [temporal_join] (default [false]) admits the {!t.Temporal_join}
     strategy for qualifying two-variable queries; the executor passes its
-    switch (see {!Executor.with_temporal_join}). *)
+    config's [temporal_join] (see {!Executor.config}). *)
 
 val refine_access :
   source_info -> Conjuncts.conjunct list -> access -> access

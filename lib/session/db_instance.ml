@@ -24,9 +24,14 @@
    Publication happens after {e every} serialized statement, not only
    page-writing ones: catalog statements ([range of], [create],
    [destroy]) change what a reader should see even though they write no
-   pages. *)
+   pages.
+
+   The instance also holds the execution config its sessions' statements
+   compile with (fan-out width, admission floor, temporal join,
+   pruning); a snapshot read narrows it to one worker. *)
 
 module Database = Tdb_core.Database
+module Executor = Tdb_query.Executor
 module Relation_file = Tdb_storage.Relation_file
 module Chronon = Tdb_time.Chronon
 module Metric = Tdb_obs.Metric
@@ -40,6 +45,7 @@ type commit = {
 
 type t = {
   db : Database.t;
+  config : Executor.config;
   writer : Mutex.t;
   commit : commit Atomic.t;
   log_seq : int Atomic.t;
@@ -72,13 +78,14 @@ let snapshot_of db ~epoch =
     ranges = Database.ranges db;
   }
 
-let of_database db =
+let of_database ?(config = Executor.default_config) db =
   (* Epoch 0 pins whatever the database held at instance creation; any
      dirty frames go down first so reader views (which read the disk)
      see every page. *)
   Database.flush_pools db;
   {
     db;
+    config;
     writer = Mutex.create ();
     commit = Atomic.make (snapshot_of db ~epoch:0);
     log_seq = Atomic.make 0;
@@ -86,6 +93,7 @@ let of_database db =
   }
 
 let database t = t.db
+let config t = t.config
 let writer t = t.writer
 let open_sessions t = t.open_sessions
 let commit t = Atomic.get t.commit

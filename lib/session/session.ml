@@ -8,8 +8,8 @@
      lock held}: any number of them proceed concurrently with each
      other and ahead of the writer.  Their sources are private reader
      views (own 1-frame pool, own I/O counters) over the shared disks,
-     and the calling domain is pinned sequential so a concurrent
-     statement never fans out into nested domain spawns.
+     and they compile with one worker, so a concurrent statement never
+     fans out into nested domain spawns.
 
    - Everything else serializes through the instance's writer mutex
      (on top of the engine's own statement lock, which additionally
@@ -31,7 +31,6 @@ module Ast = Tdb_tquel.Ast
 module Executor = Tdb_query.Executor
 module Metric = Tdb_obs.Metric
 module Statement_log = Tdb_obs.Statement_log
-module Pool = Tdb_par.Pool
 
 let ( let* ) = Result.bind
 
@@ -104,19 +103,14 @@ let log_id_for inst =
   if Statement_log.enabled () then Some (Db_instance.next_log_id inst)
   else None
 
-(* Resolve the snapshot for a read-only statement and run [f] against it
-   with the calling domain pinned sequential. *)
+(* Resolve the snapshot for a read-only statement and run [f] against it. *)
 let with_snapshot t f =
   let c = Db_instance.commit t.inst in
   t.clock <- c.Db_instance.stamp;
   t.last_epoch <- c.Db_instance.epoch;
   if Metric.enabled () then
     Metric.incr Db_instance.snapshot_statements_counter;
-  let result =
-    Pool.pin_sequential true;
-    Fun.protect ~finally:(fun () -> Pool.pin_sequential false) @@ fun () ->
-    f c
-  in
+  let result = f c in
   if Metric.enabled () then
     Metric.set_gauge Db_instance.snapshot_lag_gauge
       (float_of_int (Db_instance.epoch t.inst - c.Db_instance.epoch));
@@ -143,28 +137,29 @@ let with_writer t f =
       t.last_epoch <- epoch;
       result)
 
-let execute_statement t stmt =
+let execute_statement ?trace t stmt =
+  let config = Db_instance.config t.inst in
   if Engine.read_only stmt then
     with_snapshot t (fun c ->
-        Engine.execute_snapshot ~now:c.Db_instance.stamp ~sources:(sources_of c)
-          ~semck_env:(semck_env_of c) ~epoch:c.Db_instance.epoch
-          ~session:t.name
+        Engine.execute_snapshot ~config ?trace ~now:c.Db_instance.stamp
+          ~sources:(sources_of c) ~semck_env:(semck_env_of c)
+          ~epoch:c.Db_instance.epoch ~session:t.name
           ?log_id:(log_id_for t.inst)
           stmt)
   else
     with_writer t (fun ~epoch ->
-        Engine.execute_serialized
+        Engine.execute_serialized ~config ?trace
           (Db_instance.database t.inst)
           ~session:t.name ~epoch
           ?log_id:(log_id_for t.inst)
           stmt)
 
-let execute t src =
+let execute ?trace t src =
   let* stmts = Parser.parse_program src in
   let rec go acc = function
     | [] -> Ok (List.rev acc)
     | s :: rest ->
-        let* o = execute_statement t s in
+        let* o = execute_statement ?trace t s in
         go (o :: acc) rest
   in
   go [] stmts
@@ -174,26 +169,27 @@ let execute_one t src =
   execute_statement t stmt
 
 let explain t src =
-  Engine.explain
+  Engine.explain ~config:(Db_instance.config t.inst)
     ~epoch:(Db_instance.epoch t.inst)
     (Db_instance.database t.inst)
     src
 
 (* [explain analyze] through the session: read-only statements execute
-   on the snapshot path (tracing is main-domain-only, which the CLI
-   satisfies); everything else analyzes under the writer lock and
-   publishes, exactly as [execute_statement] would. *)
+   on the snapshot path, traced on the calling domain; everything else
+   analyzes under the writer lock and publishes, exactly as
+   [execute_statement] would. *)
 let analyze_statement t stmt =
+  let config = Db_instance.config t.inst in
   if Engine.read_only stmt then
     with_snapshot t (fun c ->
-        Engine.analyze_snapshot ~now:c.Db_instance.stamp
+        Engine.analyze_snapshot ~config ~now:c.Db_instance.stamp
           ~sources:(sources_of c) ~semck_env:(semck_env_of c)
           ~epoch:c.Db_instance.epoch ~session:t.name
           ?log_id:(log_id_for t.inst)
           stmt)
   else
     with_writer t (fun ~epoch:_ ->
-        Engine.analyze_statement (Db_instance.database t.inst) stmt)
+        Engine.analyze_statement ~config (Db_instance.database t.inst) stmt)
 
 let analyze t src =
   let* stmt = Parser.parse_statement src in

@@ -59,7 +59,7 @@ let count_write = count_sync_write
    worker already fed the registered global counters at count time (they
    are atomic), so only the raw per-pool counters are added here; trace
    attribution was a no-op on the worker domain, so by default the folded
-   pages are charged to the current (main-domain) span now, keeping the
+   pages are charged to the calling domain's current span now, keeping the
    profile tree summing to the query's page total.  A caller that builds
    its own per-partition child spans (the parallel scan path) passes
    ~trace:false to keep the pages from being double-counted. *)

@@ -114,9 +114,7 @@ let stamp_record (fc : fencing) page record =
    Missing fence = no record written = empty page = always skippable. *)
 let skippable t window page =
   match (t.fencing, window) with
-  | Some fc, Some w
-    when Time_fence.pruning_enabled ()
-         && not (Time_fence.window_is_unbounded w) ->
+  | Some fc, Some w when not (Time_fence.window_is_unbounded w) ->
       Time_fence.note_check ();
       let admits =
         match Imap.find_opt page fc.fences with

@@ -50,7 +50,7 @@ val chain_insert : t -> head:int -> bytes -> Tid.t
 val chain_iter :
   ?window:Time_fence.window -> t -> head:int -> (Tid.t -> bytes -> unit) -> unit
 (** Visits every used record of the chain, touching each page once.  With
-    [?window] (and fencing enabled, pruning on), pages whose fence cannot
+    [?window] (and fencing enabled), pages whose fence cannot
     overlap the window are skipped without being read: the walk follows
     the mirrored overflow link and charges the page to the prune
     counters.  Visit order of the surviving records is unchanged. *)

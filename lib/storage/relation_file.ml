@@ -411,7 +411,6 @@ let prune_window t window =
   match (window, t.stamp) with
   | Some w, Some _
     when Pfile.fences_enabled (data_pf t)
-         && Time_fence.pruning_enabled ()
          && not (Time_fence.window_is_unbounded w) ->
       Some w
   | _ -> None

@@ -125,7 +125,7 @@ val partition_access :
     probe pays its directory descent here, against the relation's own
     stats, exactly as the sequential cursor does at open time.
 
-    With a bounded [?window] (fencing on, pruning on), a head whose
+    With a bounded [?window] (fencing on), a head whose
     every page is fence-refuted is dropped before assignment — a time
     shard never handed to any worker — and charged exactly the fence
     checks and page skips the sequential walk would have charged, so

@@ -117,16 +117,7 @@ let may_overlap t w =
   | Some p -> dim_admits ~min_start:t.min_vfrom ~max_stop:t.max_vto p
   | None -> true)
 
-(* --- global pruning switch and accounting --- *)
-
-let pruning = ref true
-let set_pruning v = pruning := v
-let pruning_enabled () = !pruning
-
-let with_pruning v f =
-  let prev = !pruning in
-  pruning := v;
-  Fun.protect ~finally:(fun () -> pruning := prev) f
+(* --- accounting --- *)
 
 (* Raw counter: the bench must read exact skip counts whether or not the
    metric registry is enabled (same rationale as Io_stats). *)

@@ -73,15 +73,13 @@ val may_overlap : t -> window -> bool
     may be skipped iff no record on it can satisfy the corresponding
     [Period.overlaps] test.  [false] on an {!empty} fence. *)
 
-(** {1 Pruning switch and accounting} *)
+(** {1 Accounting}
 
-val set_pruning : bool -> unit
-val pruning_enabled : unit -> bool
-(** Global skip-scan switch (default on).  Off, every scan reads every
-    page as the paper's cost model assumes; fences are still maintained. *)
-
-val with_pruning : bool -> (unit -> 'a) -> 'a
-(** Run with the switch forced to a value, restoring it afterwards. *)
+    There is no pruning switch here: a walk prunes exactly when its
+    caller hands it a bounded window.  The executor withholds the window
+    when a statement runs with pruning off, and every scan then reads
+    every page as the paper's cost model assumes; fences are still
+    maintained. *)
 
 val note_check : unit -> unit
 (** Count one fence consultation ([tdb_prune_fence_checks_total]). *)

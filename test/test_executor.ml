@@ -41,13 +41,13 @@ type rows = {
   plan : Plan.t;
 }
 
-let query db src =
+let query ?config db src =
   Database.reset_io db;
-  match ok (Engine.execute_one db src) with
+  match ok (Engine.execute_one ?config db src) with
   | Engine.Rows { tuples; io; plan; _ } -> { tuples; io; plan }
   | _ -> Alcotest.fail "expected rows"
 
-let plan_of db src = Plan.to_string (query db src).plan
+let plan_of ?config db src = Plan.to_string (query ?config db src).plan
 let cost_of db src = (query db src).io.Executor.input_reads
 
 let test_plan_selection () =
@@ -68,34 +68,29 @@ let test_plan_selection () =
     (plan_of db
        {|retrieve (i.id, h.id) where i.id = h.amount
          when h overlap i and h overlap "now"|});
-  Executor.with_temporal_join true (fun () ->
-      Alcotest.(check string) "temporal join (Q11 shape)"
-        "temporal precede join(h, i)"
-        (plan_of db
-           {|retrieve (h.id, i.id)
-             valid from start of h to end of i
-             when start of h precede i|}));
-  Executor.with_temporal_join false (fun () ->
-      Alcotest.(check string) "Q11 shape falls back to nested scan"
-        "nested scan(h, i)"
-        (plan_of db
-           {|retrieve (h.id, i.id)
-             valid from start of h to end of i
-             when start of h precede i|}));
-  Executor.with_temporal_join true (fun () ->
-      Alcotest.(check string) "overlap join (Q12 shape)"
-        "temporal overlap join(h, i)"
-        (plan_of db
-           {|retrieve (h.id, i.id)
-             where h.id = 5 and i.amount = 7
-             when h overlap i|}));
-  Executor.with_temporal_join false (fun () ->
-      Alcotest.(check string) "Q12 shape falls back to detach both"
-        "detach(h) join detach(i)"
-        (plan_of db
-           {|retrieve (h.id, i.id)
-             where h.id = 5 and i.amount = 7
-             when h overlap i|}))
+  let tjoin temporal_join = { Executor.default_config with temporal_join } in
+  let q11 =
+    {|retrieve (h.id, i.id)
+      valid from start of h to end of i
+      when start of h precede i|}
+  in
+  let q12 =
+    {|retrieve (h.id, i.id)
+      where h.id = 5 and i.amount = 7
+      when h overlap i|}
+  in
+  Alcotest.(check string) "temporal join (Q11 shape)"
+    "temporal precede join(h, i)"
+    (plan_of ~config:(tjoin true) db q11);
+  Alcotest.(check string) "Q11 shape falls back to nested scan"
+    "nested scan(h, i)"
+    (plan_of ~config:(tjoin false) db q11);
+  Alcotest.(check string) "overlap join (Q12 shape)"
+    "temporal overlap join(h, i)"
+    (plan_of ~config:(tjoin true) db q12);
+  Alcotest.(check string) "Q12 shape falls back to detach both"
+    "detach(h) join detach(i)"
+    (plan_of ~config:(tjoin false) db q12)
 
 let test_exact_costs_small () =
   let db = small_temporal () in

@@ -60,16 +60,16 @@ let render_tree root =
   Buffer.contents b
 
 let report (w : Workload.t) ~workers ~tjoin src =
-  Engine.set_parallelism (Some workers);
-  Executor.with_parallel_min_pages 0 @@ fun () ->
-  Executor.with_temporal_join tjoin @@ fun () ->
+  let config =
+    { Executor.default_config with workers; floor = 0; temporal_join = tjoin }
+  in
   let explain =
-    match Engine.explain w.Workload.db src with
+    match Engine.explain ~config w.Workload.db src with
     | Ok text -> text
     | Error e -> Alcotest.failf "explain failed (%s): %s" e src
   in
   chill w;
-  match Engine.analyze w.Workload.db src with
+  match Engine.analyze ~config w.Workload.db src with
   | Error e -> Alcotest.failf "analyze failed (%s): %s" e src
   | Ok a ->
       let tree =
@@ -701,7 +701,6 @@ parallel: declined (one partition): i has 5 post-prune pages
 
 let check_case (case, db, tjoin, src) workers () =
   let w = Lazy.force db in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
   let label = Printf.sprintf "%s @ %d workers" case workers in
   let got = report w ~workers ~tjoin src in
   match List.assoc_opt label golden with

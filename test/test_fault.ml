@@ -321,11 +321,8 @@ let test_fault_in_worker_partition () =
           match Database.create ~dir ~fault () with
           | Error e -> Alcotest.fail e
           | Ok db ->
-              Engine.set_parallelism (Some 4);
               Fun.protect
-                ~finally:(fun () ->
-                  Engine.set_parallelism None;
-                  Database.abandon db)
+                ~finally:(fun () -> Database.abandon db)
                 (fun () ->
                   let rel =
                     match Database.find_relation db "emp" with
@@ -346,7 +343,10 @@ let test_fault_in_worker_partition () =
                   in
                   let emitted = ref 0 in
                   (match
-                     Tdb_query.Executor.run_retrieve ~now:(Database.now db)
+                     Tdb_query.Executor.run_retrieve
+                       ~config:
+                         { Tdb_query.Executor.default_config with workers = 4 }
+                       ~now:(Database.now db)
                        ~sources:[ { Tdb_query.Executor.var = "e"; rel } ]
                        r
                        ~on_tuple:(fun _ -> incr emitted)

@@ -9,6 +9,9 @@ module Database = Tdb_core.Database
 module Value = Tdb_relation.Value
 
 let ok = function Ok v -> v | Error e -> Alcotest.failf "unexpected error: %s" e
+
+(* The default execution config at a given fan-out width. *)
+let at_workers workers = { Tdb_query.Executor.default_config with workers }
 let exec db src = ignore (ok (Engine.execute db src))
 
 (* The data model mirrored in plain OCaml: two tables of (id, amount, seq). *)
@@ -619,20 +622,15 @@ let render_row row = String.concat " | " (List.map Value.to_string row)
 (* Run one retrieve through both executor paths.  The rows are compared as
    rendered strings so a mismatch report is directly readable. *)
 let run_both db src =
-  let rows () =
-    match Engine.execute_one db src with
+  let rows workers =
+    match Engine.execute_one ~config:(at_workers workers) db src with
     | Ok (Engine.Rows { tuples; _ }) ->
         Ok
           (List.map (fun tu -> render_row (Array.to_list tu)) tuples)
     | Ok _ -> Error "expected rows"
     | Error e -> Error ("engine error: " ^ e)
   in
-  Engine.set_parallelism (Some 1);
-  let seq = rows () in
-  Engine.set_parallelism (Some 4);
-  let par = rows () in
-  Engine.set_parallelism (Some 1);
-  (seq, par)
+  (rows 1, rows 4)
 
 let verify_rows ~seq ~par ~model_rows =
   match (seq, par) with
@@ -670,7 +668,6 @@ let test_temporal_oracle () =
       (fun k -> [ k; k; k; k ])
       [ K_static; K_rollback; K_historical; K_temporal ]
   in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
   List.iteri
     (fun trial kind ->
       let db = ok (Database.create ()) in
@@ -831,10 +828,12 @@ let test_scale10_parallel_probes () =
         | None -> ())
       (Database.relation_names db)
   in
-  let measure src =
+  let measure src workers =
     chill ();
     Database.reset_io db;
-    match Engine.execute_one db src with
+    match
+      Engine.execute_one ~config:{ (at_workers workers) with floor = 0 } db src
+    with
     | Ok (Engine.Rows { tuples; io; _ }) ->
         ( List.map
             (fun tu ->
@@ -871,15 +870,10 @@ let test_scale10_parallel_probes () =
     Printf.sprintf "retrieve (%s.id, %s.seq, %s.amount) where %s%s" var var
       var probe temporal
   in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
-  Executor.with_parallel_min_pages 0 @@ fun () ->
   for _ = 1 to 40 do
     let src = gen_query () in
-    Engine.set_parallelism (Some 1);
-    let rows_seq, reads_seq = measure src in
-    Engine.set_parallelism (Some 4);
-    let rows_par, reads_par = measure src in
-    Engine.set_parallelism (Some 1);
+    let rows_seq, reads_seq = measure src 1 in
+    let rows_par, reads_par = measure src 4 in
     if rows_seq <> rows_par then
       Alcotest.failf
         "scale-10 probe rows diverge (%s):\nsequential (%d rows)\nparallel \
@@ -949,7 +943,6 @@ let gen_jatom rng =
 let test_temporal_join_oracle () =
   let module Executor = Tdb_query.Executor in
   let rng = Random.State.make [| oracle_seed + 17 |] in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
   for trial = 1 to 24 do
     let db = ok (Database.create ()) in
     exec db
@@ -982,24 +975,21 @@ let test_temporal_join_oracle () =
         (if equi then "where h.amount = i.amount " else "")
         (jatom_text atom)
     in
-    let run () =
-      match Engine.execute_one db src with
+    let run ~workers ~temporal_join =
+      match
+        Engine.execute_one
+          ~config:{ (at_workers workers) with temporal_join }
+          db src
+      with
       | Ok (Engine.Rows { tuples; plan; _ }) ->
           ( List.map (fun tu -> render_row (Array.to_list tu)) tuples,
             Tdb_query.Plan.to_string plan )
       | Ok _ -> Alcotest.failf "expected rows: %s" src
       | Error e -> Alcotest.failf "query failed (%s): %s" e src
     in
-    Engine.set_parallelism (Some 1);
-    let rows_tj, plan_tj =
-      Executor.with_temporal_join true (fun () -> run ())
-    in
-    let rows_nl, plan_nl =
-      Executor.with_temporal_join false (fun () -> run ())
-    in
-    Engine.set_parallelism (Some 4);
-    let rows_tj4, _ = Executor.with_temporal_join true (fun () -> run ()) in
-    Engine.set_parallelism (Some 1);
+    let rows_tj, plan_tj = run ~workers:1 ~temporal_join:true in
+    let rows_nl, plan_nl = run ~workers:1 ~temporal_join:false in
+    let rows_tj4, _ = run ~workers:4 ~temporal_join:true in
     (* the plans really are different strategies for the same query *)
     if String.length plan_tj < 8 || String.sub plan_tj 0 8 <> "temporal" then
       Alcotest.failf "trial %d (%s): wanted a temporal join, got %s" trial src
@@ -1048,7 +1038,6 @@ let test_temporal_join_oracle () =
 
 let test_snapshot_semantics_oracle () =
   let rng = Random.State.make [| oracle_seed + 23 |] in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
   for trial = 1 to 16 do
     let db = ok (Database.create ()) in
     let script = Buffer.create 2048 in
@@ -1090,8 +1079,8 @@ let test_snapshot_semantics_oracle () =
         (fun v -> live v && Period.contains (eff_valid v) c)
         !model
     in
-    let structured src =
-      match Engine.execute_one db src with
+    let structured ?config src =
+      match Engine.execute_one ?config db src with
       | Ok (Engine.Rows { tuples; _ }) -> tuples
       | Ok _ -> Alcotest.failf "expected rows: %s" src
       | Error e -> Alcotest.failf "query failed (%s): %s" e src
@@ -1113,11 +1102,8 @@ let test_snapshot_semantics_oracle () =
       Chronon.compare f c <= 0 && Chronon.compare c t < 0
     in
     let check_workers src =
-      Engine.set_parallelism (Some 1);
-      let seq = structured src in
-      Engine.set_parallelism (Some 4);
-      let par = structured src in
-      Engine.set_parallelism (Some 1);
+      let seq = structured ~config:(at_workers 1) src in
+      let par = structured ~config:(at_workers 4) src in
       if seq <> par then
         Alcotest.failf
           "sequential and 4-worker coalesced rows diverge (seed %d) on %s"

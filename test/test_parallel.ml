@@ -49,9 +49,13 @@ let queries () =
         (Paper_queries.text qid Workload.Temporal))
     Paper_queries.all
 
-let run_query (w : Workload.t) src =
+(* Paper-scale relations sit under the admission floor; floor 0 makes
+   the fan-out machinery what these tests exercise. *)
+let fan_out workers = { Executor.default_config with workers; floor = 0 }
+
+let run_query ~config (w : Workload.t) src =
   Database.reset_io w.Workload.db;
-  match Engine.execute w.Workload.db src with
+  match Engine.execute ~config w.Workload.db src with
   | Ok [ Engine.Rows { tuples; io; _ } ] ->
       (render_rows tuples, io.Executor.input_reads)
   | Ok _ -> Alcotest.failf "expected a single retrieve: %s" src
@@ -59,18 +63,12 @@ let run_query (w : Workload.t) src =
 
 let test_parallel_matches_sequential () =
   let w = evolved_temporal () in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
-  (* Paper-scale relations sit under the admission floor; drop it so the
-     fan-out machinery is what this test exercises. *)
-  Executor.with_parallel_min_pages 0 @@ fun () ->
   List.iter
     (fun (name, src) ->
-      Engine.set_parallelism (Some 1);
       chill w;
-      let rows_seq, reads_seq = run_query w src in
-      Engine.set_parallelism (Some 4);
+      let rows_seq, reads_seq = run_query ~config:(fan_out 1) w src in
       chill w;
-      let rows_par, reads_par = run_query w src in
+      let rows_par, reads_par = run_query ~config:(fan_out 4) w src in
       Alcotest.(check bool)
         (name ^ ": identical rows") true
         (rows_seq = rows_par);
@@ -89,16 +87,12 @@ let test_scale10_matches_sequential () =
   for round = 1 to 2 do
     Evolve.uniform_round w ~round
   done;
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
-  Executor.with_parallel_min_pages 0 @@ fun () ->
   List.iter
     (fun (name, src) ->
-      Engine.set_parallelism (Some 1);
       chill w;
-      let rows_seq, reads_seq = run_query w src in
-      Engine.set_parallelism (Some 4);
+      let rows_seq, reads_seq = run_query ~config:(fan_out 1) w src in
       chill w;
-      let rows_par, reads_par = run_query w src in
+      let rows_par, reads_par = run_query ~config:(fan_out 4) w src in
       Alcotest.(check bool)
         (name ^ " (scale 10): identical rows") true
         (rows_seq = rows_par);
@@ -112,9 +106,11 @@ let test_scale10_matches_sequential () =
    in \explain. *)
 let test_explain_declines_small () =
   let w = Workload.build ~kind:Workload.Temporal ~loading:100 ~seed:23 () in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
-  Engine.set_parallelism (Some 4);
-  match Engine.explain w.Workload.db "retrieve (h.id, h.seq) where h.id = 500" with
+  (* the default floor, whatever TDB_PAR_MIN_PAGES says *)
+  let config = { Executor.default_config with workers = 4; floor = 128 } in
+  match
+    Engine.explain ~config w.Workload.db "retrieve (h.id, h.seq) where h.id = 500"
+  with
   | Error e -> Alcotest.failf "explain failed: %s" e
   | Ok text ->
       let contains needle =
@@ -132,24 +128,21 @@ let test_domain_stress () =
   let w = evolved_temporal () in
   let qs = Array.of_list (queries ()) in
   let n = Array.length qs in
-  Fun.protect ~finally:(fun () -> Engine.set_parallelism None) @@ fun () ->
-  (* Drop the admission floor so the stress domains really do fan out
-     internally, not just interleave statements. *)
-  Executor.with_parallel_min_pages 0 @@ fun () ->
-  Engine.set_parallelism (Some 1);
   let baseline =
     Array.to_list
-      (Array.map (fun (name, src) -> (name, fst (run_query w src))) qs)
+      (Array.map
+         (fun (name, src) -> (name, fst (run_query ~config:(fan_out 1) w src)))
+         qs)
   in
-  (* Workers > 1 so the stress domains also fan out scans internally. *)
-  Engine.set_parallelism (Some 2);
   (* Each domain walks the mix from its own offset, maximizing statement
      interleaving; results come back as data so all assertions run on the
      test's own domain. *)
   let run_mix k =
     List.init n (fun i ->
         let name, src = qs.((i + k) mod n) in
-        match Engine.execute w.Workload.db src with
+        (* workers > 1 and floor 0: the stress domains also fan out
+           scans internally, not just interleave statements *)
+        match Engine.execute ~config:(fan_out 2) w.Workload.db src with
         | Ok [ Engine.Rows { tuples; _ } ] -> (name, render_rows tuples)
         | Ok _ -> (name, [ "unexpected outcome" ])
         | Error e -> (name, [ "error: " ^ e ]))

@@ -20,9 +20,12 @@ let evolved_temporal ~rounds =
   done;
   w
 
-let run_rows (w : Workload.t) src =
+let run_rows ~pruning (w : Workload.t) src =
   Database.reset_io w.Workload.db;
-  match Engine.execute w.Workload.db src with
+  match
+    Engine.execute ~config:{ Executor.default_config with pruning }
+      w.Workload.db src
+  with
   | Ok [ Engine.Rows { tuples; io; _ } ] -> (tuples, io)
   | Ok _ -> Alcotest.failf "expected a single retrieve: %s" src
   | Error e -> Alcotest.failf "query failed (%s): %s" e src
@@ -38,12 +41,8 @@ let test_grid_identical () =
       | None -> ()
       | Some src ->
           let name = Paper_queries.name qid in
-          let rows_off, io_off =
-            Time_fence.with_pruning false (fun () -> run_rows w src)
-          in
-          let rows_on, io_on =
-            Time_fence.with_pruning true (fun () -> run_rows w src)
-          in
+          let rows_off, io_off = run_rows ~pruning:false w src in
+          let rows_on, io_on = run_rows ~pruning:true w src in
           Alcotest.(check bool)
             (name ^ ": identical tuples") true (rows_off = rows_on);
           Alcotest.(check int)
@@ -63,9 +62,9 @@ let test_as_of_strictly_fewer () =
     (fun qid ->
       let src = Option.get (Paper_queries.text qid Workload.Temporal) in
       let name = Paper_queries.name qid in
-      let _, io_off = Time_fence.with_pruning false (fun () -> run_rows w src) in
+      let _, io_off = run_rows ~pruning:false w src in
       Time_fence.reset_pages_skipped ();
-      let _, io_on = Time_fence.with_pruning true (fun () -> run_rows w src) in
+      let _, io_on = run_rows ~pruning:true w src in
       let skipped = Time_fence.pages_skipped () in
       Alcotest.(check bool)
         (name ^ ": strictly fewer reads") true

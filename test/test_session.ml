@@ -23,7 +23,9 @@ module Value = Tdb_relation.Value
 module Json = Tdb_obs.Json
 module Metric = Tdb_obs.Metric
 module Statement_log = Tdb_obs.Statement_log
+module Trace = Tdb_obs.Trace
 module Parser = Tdb_tquel.Parser
+module Executor = Tdb_query.Executor
 
 let ok = function Ok v -> v | Error e -> Alcotest.failf "unexpected error: %s" e
 let exec db src = ignore (ok (Engine.execute db src))
@@ -119,8 +121,9 @@ let test_pinned_snapshot_is_stable () =
   let stmt = ok (Parser.parse_statement retrieve_all) in
   let o =
     ok
-      (Engine.execute_snapshot ~now:c1.Db_instance.stamp ~sources
-         ~semck_env:env ~epoch:c1.Db_instance.epoch stmt)
+      (Engine.execute_snapshot ~config:(Db_instance.config inst)
+         ~now:c1.Db_instance.stamp ~sources ~semck_env:env
+         ~epoch:c1.Db_instance.epoch stmt)
   in
   Alcotest.(check (list (list int)))
     "old epoch still answers as of its stamp"
@@ -140,7 +143,8 @@ let test_snapshot_rejects_writes () =
   let c = Db_instance.commit inst in
   let stmt = ok (Parser.parse_statement "append to tr (id = 9, amount = 9)") in
   (match
-     Engine.execute_snapshot ~now:c.Db_instance.stamp
+     Engine.execute_snapshot ~config:(Db_instance.config inst)
+       ~now:c.Db_instance.stamp
        ~sources:(Session.sources_of c)
        ~semck_env:(Session.semck_env_of c)
        ~epoch:c.Db_instance.epoch stmt
@@ -191,6 +195,122 @@ let test_explain_and_analyze_isolation () =
   Alcotest.(check int) "analyze on the writer path published" 2
     (Session.epoch s);
   Session.close s;
+  Database.close db
+
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
+(* A snapshot read compiles with one worker, whatever the instance's
+   config says: its [\explain] and its explain analyze agree on that
+   width, and the writer path reports the configured one. *)
+let test_snapshot_reports_one_worker () =
+  let db = ok (Database.create ()) in
+  exec db
+    {|create persistent tr (id = i4, amount = i4)
+      range of t is tr|};
+  for i = 1 to 300 do
+    exec db (Printf.sprintf "append to tr (id = %d, amount = %d)" i (i mod 7))
+  done;
+  let config = { Executor.default_config with workers = 4; floor = 0 } in
+  let inst = Db_instance.of_database ~config db in
+  let s = Session.open_ inst in
+  let src = "retrieve (t.id) where t.amount = 3" in
+  let plan = ok (Session.explain s src) in
+  Alcotest.(check bool) "snapshot explain: workers=1" true
+    (contains plan "parallel: off (workers=1)");
+  let a = ok (Session.analyze s src) in
+  Alcotest.(check int) "snapshot analyze: workers 1" 1 a.Engine.a_workers;
+  Alcotest.(check bool) "snapshot analyze renders workers: 1" true
+    (contains (Engine.render_analysis a) "workers: 1;");
+  Alcotest.(check (option string)) "snapshot analyze ran inline"
+    (Some "parallel: off (workers=1)") a.Engine.a_parallel;
+  let plan_w = ok (Engine.explain ~config db src) in
+  Alcotest.(check bool) "writer explain: 4 workers" true
+    (contains plan_w "parallel: 4 workers");
+  let aw = ok (Engine.analyze ~config db src) in
+  Alcotest.(check int) "writer analyze: workers 4" 4 aw.Engine.a_workers;
+  Alcotest.(check bool) "writer analyze fanned out" true
+    (contains (Option.value aw.Engine.a_parallel ~default:"") "parallel: 4 workers");
+  Alcotest.(check (list (list int))) "same rows both ways"
+    (rows_of aw.Engine.a_outcome) (rows_of a.Engine.a_outcome);
+  Session.close s;
+  Database.close db
+
+(* Explain analyze from four sessions on four domains at once, two over
+   an instance that plans the temporal join and two over one that does
+   not: each statement's span tree sums to its own page reads, and its
+   rows are those the statement returns when it runs alone. *)
+let test_concurrent_explain_analyze () =
+  let db = ok (Database.create ()) in
+  exec db
+    {|create persistent interval h (id = i4, amount = i4)
+      create persistent interval i (id = i4, amount = i4)
+      range of h is h
+      range of i is i|};
+  let rng = Random.State.make [| seed |] in
+  let day n =
+    Chronon.to_string
+      (Chronon.add_seconds (Chronon.parse_exn "1/1/80") (n * 86400))
+  in
+  List.iter
+    (fun rel ->
+      for id = 1 to 80 do
+        let lo = Random.State.int rng 400 in
+        let hi = lo + 1 + Random.State.int rng 60 in
+        exec db
+          (Printf.sprintf
+             {|append to %s (id = %d, amount = %d) valid from %S to %S|}
+             rel id (Random.State.int rng 5) (day lo) (day hi))
+      done)
+    [ "h"; "i" ];
+  let src = "retrieve (h.id, i.id) where h.amount = i.amount when h overlap i" in
+  let instance temporal_join =
+    Db_instance.of_database
+      ~config:{ Executor.default_config with temporal_join }
+      db
+  in
+  let tjoin = instance true and nested = instance false in
+  let analyze inst =
+    let s = Session.open_ inst in
+    Fun.protect ~finally:(fun () -> Session.close s) @@ fun () ->
+    let a = ok (Session.analyze s src) in
+    match a.Engine.a_outcome with
+    | Engine.Rows { tuples; io; trace; plan; _ } ->
+        ( tuples,
+          io.Executor.input_reads,
+          Option.map Trace.total_reads trace,
+          Tdb_query.Plan.to_string plan )
+    | _ -> Alcotest.fail "expected rows"
+  in
+  let alone_tj, _, _, plan_tj = analyze tjoin in
+  let alone_nl, _, _, plan_nl = analyze nested in
+  Alcotest.(check bool) "the two configs plan differently" true
+    (plan_tj <> plan_nl);
+  let rounds = 25 in
+  let results =
+    List.map
+      (fun (name, inst) ->
+        ( name,
+          inst,
+          Domain.spawn (fun () -> List.init rounds (fun _ -> analyze inst)) ))
+      [ ("tjoin a", tjoin); ("nested a", nested); ("tjoin b", tjoin);
+        ("nested b", nested) ]
+    |> List.map (fun (name, inst, d) -> (name, inst, Domain.join d))
+  in
+  List.iter
+    (fun (name, inst, runs) ->
+      let alone = if inst == tjoin then alone_tj else alone_nl in
+      List.iter
+        (fun (tuples, reads, span_reads, _) ->
+          Alcotest.(check (option int))
+            (name ^ ": span reads = its own page reads")
+            (Some reads) span_reads;
+          Alcotest.(check bool) (name ^ ": rows as when run alone") true
+            (tuples = alone))
+        runs)
+    results;
   Database.close db
 
 (* --- unit: statement-log attribution --- *)
@@ -427,6 +547,10 @@ let suites =
           test_snapshot_rejects_writes;
         Alcotest.test_case "explain and analyze isolation" `Quick
           test_explain_and_analyze_isolation;
+        Alcotest.test_case "snapshot reads report one worker" `Quick
+          test_snapshot_reports_one_worker;
+        Alcotest.test_case "concurrent explain analyze" `Quick
+          test_concurrent_explain_analyze;
         Alcotest.test_case "statement-log session fields" `Quick
           test_log_session_fields;
         Alcotest.test_case "session metrics" `Quick test_session_metrics;
