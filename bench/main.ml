@@ -40,14 +40,8 @@
                   skip grid comparisons across different scales
      --json PATH  write a machine-readable result document to PATH:
                   per-section wall time and peak heap words, the full
-                  cost grid, the pruning experiment, the executor
-                  throughput section and an engine metrics snapshot
-     --throughput-baseline PATH
-                  after measuring throughput, record the tuples/sec of
-                  this build under the current update count in PATH
-                  (merging with any other update counts already there);
-                  later runs load the file and report their speedup
-                  against it
+                  cost grid, the pruning experiment and an engine
+                  metrics snapshot
      --compare OLD NEW
                   run no benchmark: diff two --json result documents
                   (grid cell equality, section wall-time drift, the
@@ -115,7 +109,6 @@ let flag_value name =
   !path
 
 let json_path = flag_value "--json"
-let throughput_baseline_path = flag_value "--throughput-baseline"
 
 (* --compare OLD NEW: a pure document diff, no benchmark run. *)
 let compare_paths =
@@ -1003,176 +996,6 @@ let timing (temporal100_w : Workload.t) env =
         results)
     tests;
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Executor throughput: tuples/sec and wall time per query             *)
-(* ------------------------------------------------------------------ *)
-
-(* The page-I/O grid is invariant under executor changes by construction;
-   this section measures what those changes are allowed to move: wall
-   time.  Each query runs repeatedly on the evolved temporal database
-   (pruning off, like the grid, so scans do the paper's full work) and the
-   best run is kept — the minimum is the least noisy estimator on a warm
-   cache.  A committed baseline file maps "uc<N>" to tuples/sec per query,
-   so any build can report its speedup against the build that wrote it. *)
-
-type throughput = {
-  tp_qid : Paper_queries.id;
-  tp_tuples : int;  (* result tuples per run *)
-  tp_reads : int;  (* page reads per run, for the record *)
-  tp_wall_s : float;  (* best single-run wall time *)
-  tp_per_s : float;  (* result tuples per second at the best run *)
-}
-
-let throughput_queries =
-  Paper_queries.[ Q01; Q03; Q04; Q07; Q09; Q11 ]
-
-let throughput_measure (w : Workload.t) qid =
-  let src = Option.get (Paper_queries.text qid Workload.Temporal) in
-  let tp_reads, tp_tuples = Evolve.measure_query_result ~config:paper w src in
-  let best = ref infinity in
-  let runs = ref 0 in
-  let deadline = Unix.gettimeofday () +. 0.4 in
-  while !runs < 3 || (!runs < 200 && Unix.gettimeofday () < deadline) do
-    let t0 = Unix.gettimeofday () in
-    ignore (Evolve.measure_query_result ~config:paper w src);
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt;
-    incr runs
-  done;
-  {
-    tp_qid = qid;
-    tp_tuples;
-    tp_reads;
-    tp_wall_s = !best;
-    tp_per_s = float_of_int (max 1 tp_tuples) /. !best;
-  }
-
-let throughput_baseline_key = Printf.sprintf "uc%d" max_uc
-let throughput_baseline_file = "bench/throughput_baseline.json"
-
-(* baseline: query name -> tuples/sec, from the committed file, for this
-   run's update count.  Missing file, bad parse, missing key: no columns. *)
-let throughput_baseline () =
-  if not (Sys.file_exists throughput_baseline_file) then None
-  else
-    let ic = open_in_bin throughput_baseline_file in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Json.parse content with
-    | Error _ -> None
-    | Ok (Json.Obj entries) -> (
-        match List.assoc_opt throughput_baseline_key entries with
-        | Some (Json.Obj qs) ->
-            Some
-              (List.filter_map
-                 (function q, Json.Num v -> Some (q, v) | _ -> None)
-                 qs)
-        | _ -> None)
-    | Ok _ -> None
-
-let write_throughput_baseline path results =
-  (* merge: keep other update counts' entries, replace this one's *)
-  let existing =
-    if not (Sys.file_exists path) then []
-    else
-      let ic = open_in_bin path in
-      let content =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      match Json.parse content with Ok (Json.Obj e) -> e | _ -> []
-  in
-  let entry =
-    Json.Obj
-      (List.map
-         (fun r -> (Paper_queries.name r.tp_qid, Json.Num r.tp_per_s))
-         results)
-  in
-  let merged =
-    (throughput_baseline_key, entry)
-    :: List.remove_assoc throughput_baseline_key existing
-  in
-  let oc = open_out path in
-  output_string oc (Json.to_string_pretty (Json.Obj (List.sort compare merged)));
-  output_char oc '\n';
-  close_out oc;
-  Printf.eprintf "[bench] wrote throughput baseline %s (%s)\n%!" path
-    throughput_baseline_key
-
-let throughput_section (w : Workload.t) =
-  print_endline "== Throughput: tuples/sec per query (temporal 100%) ==";
-  let results = List.map (throughput_measure w) throughput_queries in
-  let baseline = throughput_baseline () in
-  let rows =
-    List.map
-      (fun r ->
-        let base =
-          Option.bind baseline
-            (List.assoc_opt (Paper_queries.name r.tp_qid))
-        in
-        [
-          Paper_queries.name r.tp_qid;
-          string_of_int r.tp_tuples;
-          string_of_int r.tp_reads;
-          Printf.sprintf "%.2f" (r.tp_wall_s *. 1e3);
-          Printf.sprintf "%.0f" r.tp_per_s;
-          (match base with Some b -> Printf.sprintf "%.0f" b | None -> "-");
-          (match base with
-          | Some b when b > 0. -> Printf.sprintf "%.2fx" (r.tp_per_s /. b)
-          | _ -> "-");
-        ])
-      results
-  in
-  print_endline
-    (Report.table
-       ~header:
-         [ "Query"; "tuples"; "pages"; "best ms"; "tuples/s";
-           "baseline"; "speedup" ]
-       rows);
-  print_endline
-    "(best of repeated runs; 'baseline' is the committed pre-refactor\n\
-    \ tuples/sec for this update count, 'speedup' this build against it)";
-  print_newline ();
-  Option.iter
-    (fun path -> write_throughput_baseline path results)
-    throughput_baseline_path;
-  results
-
-let json_of_throughput results =
-  let baseline = throughput_baseline () in
-  Json.Obj
-    [
-      ("baseline_key", Json.Str throughput_baseline_key);
-      ( "queries",
-        Json.List
-          (List.map
-             (fun r ->
-               let base =
-                 Option.bind baseline
-                   (List.assoc_opt (Paper_queries.name r.tp_qid))
-               in
-               Json.Obj
-                 [
-                   ("query", Json.Str (Paper_queries.name r.tp_qid));
-                   ("tuples", Json.int r.tp_tuples);
-                   ("reads", Json.int r.tp_reads);
-                   ("wall_s", Json.Num r.tp_wall_s);
-                   ("tuples_per_s", Json.Num r.tp_per_s);
-                   ( "baseline_tuples_per_s",
-                     match base with Some b -> Json.Num b | None -> Json.Null
-                   );
-                   ( "speedup",
-                     match base with
-                     | Some b when b > 0. -> Json.Num (r.tp_per_s /. b)
-                     | _ -> Json.Null );
-                 ])
-             results) );
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Parallel execution: wall time against worker domains                 *)
@@ -2093,7 +1916,7 @@ let json_of_run (r : run) =
       ("cells", Json.List (List.map cell cells));
     ]
 
-let result_document ~total_s ~pruning ~throughput ~parallel ~scale_sweep
+let result_document ~total_s ~pruning ~parallel ~scale_sweep
     ~durability ~concurrency ~tjoin runs =
   Json.Obj
     [
@@ -2121,7 +1944,6 @@ let result_document ~total_s ~pruning ~throughput ~parallel ~scale_sweep
              !sections) );
       ("grid", Json.List (List.map json_of_run runs));
       ("pruning", json_of_pruning pruning);
-      ("throughput", json_of_throughput throughput);
       ("parallel", json_of_parallel parallel);
       ("scale", json_of_scale_sweep scale_sweep);
       ("durability", json_of_durability durability);
@@ -2169,7 +1991,6 @@ let run () =
   figure8 ~temporal100 ~rollback50;
   figure9 runs;
   model_validation runs;
-  let throughput = timed "throughput" (fun () -> throughput_section temporal100_w) in
   if smoke then print_endline "(smoke run: s5.4, ablations and timing skipped)\n"
   else timed "section 5.4" section54;
   let env = timed "figure 10 build" (fun () -> build_fig10 temporal100_w) in
@@ -2201,7 +2022,7 @@ let run () =
   Option.iter
     (fun path ->
       write_json path
-        (result_document ~total_s ~pruning ~throughput ~parallel ~scale_sweep
+        (result_document ~total_s ~pruning ~parallel ~scale_sweep
            ~durability ~concurrency ~tjoin runs))
     json_path;
   Printf.printf "Total benchmark time: %.1f s\n" total_s

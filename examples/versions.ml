@@ -91,7 +91,8 @@ let () =
     (Two_level_store.io store).Io_stats.reads;
 
   (* A secondary index on layer_count answers "which parts currently need
-     4-layer boards?" without scanning. *)
+     5-layer boards?" without scanning: look the value up in the current
+     index, then fetch each listed part from the primary store. *)
   let entries =
     List.map
       (fun (tid, tu) -> (tu.(3), tid))
@@ -103,9 +104,13 @@ let () =
   in
   Two_level_store.reset_io store;
   Secondary_index.reset_io index;
-  let four_layer = Secondary_index.lookup index (Value.Int 5) in
+  let five_layer =
+    List.map
+      (Two_level_store.fetch_current store)
+      (Secondary_index.lookup index (Value.Int 5))
+  in
   Printf.printf "parts currently at 5 layers: %d (via %d-page current index)\n"
-    (List.length four_layer)
+    (List.length five_layer)
     (Secondary_index.npages index);
   Printf.printf "  cost: %d index + %d data page read(s)\n"
     (Secondary_index.io index).Io_stats.reads

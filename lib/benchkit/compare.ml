@@ -12,8 +12,8 @@
      are exactly the invariants CI used to re-assert with ad-hoc inline
      scripts; a failure makes [run] exit non-zero.
    - {b warnings} — drift beyond the noise tolerance: a section's wall
-     time, a query's throughput or the journal overhead moved by more
-     than [tolerance] (relative).  Wall clocks differ across machines,
+     time, a speedup or the journal overhead moved by more than
+     [tolerance] (relative).  Wall clocks differ across machines,
      so drift never fails the comparison on its own.
    - {b info} — the full ledger, printed so the uploaded report shows
      what was compared and what was skipped (e.g. the grid when one run
@@ -232,47 +232,6 @@ let compare_pruning ctx ~old_doc ~new_doc =
                 new_v
           | _ -> ())
       | _ -> ())
-
-(* --- throughput: positive rates, per-query drift --- *)
-
-let compare_throughput ctx ~old_doc ~new_doc =
-  match (field "throughput" old_doc, field "throughput" new_doc) with
-  | _, None -> fail ctx "throughput section missing from the new run"
-  | old_t, Some nt -> (
-      let nt = Some nt in
-      match flist nt "queries" with
-      | None | Some [] -> fail ctx "throughput: section is empty"
-      | Some qs ->
-          List.iter
-            (fun q ->
-              let q = Some q in
-              let name = Option.value (fstr q "query") ~default:"?" in
-              (match fnum q "tuples_per_s" with
-              | Some r when r > 0.0 -> ()
-              | _ -> fail ctx "throughput: %s reports no throughput" name);
-              (match (fnum q "reads", fnum q "wall_s") with
-              | Some r, Some w when r >= 0.0 && w > 0.0 -> ()
-              | _ -> fail ctx "throughput: %s has bad reads/wall fields" name);
-              match
-                Option.bind old_t (fun o ->
-                    Option.bind (flist (Some o) "queries") (fun oqs ->
-                        List.find_opt
-                          (fun oq -> fstr (Some oq) "query" = Some name)
-                          oqs))
-              with
-              | None -> ()
-              | Some oq -> (
-                  match
-                    (fnum (Some oq) "tuples_per_s", fnum q "tuples_per_s")
-                  with
-                  | Some old_v, Some new_v ->
-                      info ctx "throughput %-4s %12.0f/s -> %12.0f/s (%+6.1f%%)"
-                        name old_v new_v (pct_change ~old_v ~new_v);
-                      if new_v < old_v /. (1.0 +. ctx.tolerance) then
-                        warn ctx "throughput: %s dropped %.1f%%" name
-                          (-.pct_change ~old_v ~new_v)
-                  | _ -> ()))
-            qs)
 
 (* --- speedup-vs-workers trend tables --- *)
 
@@ -731,7 +690,6 @@ let compare_docs ?(tolerance = 0.5) ~old_label ~new_label old_doc new_doc =
   compare_grid ctx ~old_doc ~new_doc;
   compare_sections ctx ~old_doc ~new_doc;
   compare_pruning ctx ~old_doc ~new_doc;
-  compare_throughput ctx ~old_doc ~new_doc;
   compare_parallel ctx ~old_doc ~new_doc;
   compare_scale ctx ~old_doc ~new_doc;
   compare_durability ctx ~old_doc ~new_doc;

@@ -6,7 +6,7 @@
     past the sync-per-statement ceiling, a missed parallel speedup floor
     on a machine with >= 4 recommended domains, a metrics dump violating
     the shared schema — are {e failures}.  Relative drift in wall times,
-    throughput or overheads beyond the noise [tolerance] (default 50%)
+    speedups or overheads beyond the noise [tolerance] (default 50%)
     only {e warns}: clocks differ across machines, page counts must not.
 
     Grid equality is only asserted when the two runs are comparable

@@ -1,15 +1,12 @@
 (* Unified access-path cursors.
 
-   Every access method (heap, hash, ISAM, the two-level store's history)
-   is a source of page-sized record chunks; a cursor strings chunks into
-   tuple batches of ~[target] records.  Batches are page-aligned — a chunk
-   is never split across batches — so batching changes how records flow to
-   the executor but never which pages are read, in what order, or how
-   fence pruning is charged: all of that happens inside the chunk
-   functions, which are the same {!Pfile} step primitives the eager
-   iterators use. *)
-
-module Value = Tdb_relation.Value
+   Every access method (heap, hash, ISAM) is a source of page-sized
+   record chunks; a cursor strings chunks into tuple batches of
+   ~[target] records.  Batches are page-aligned — a chunk is never split
+   across batches — so batching changes how records flow to the executor
+   but never which pages are read, in what order, or how fence pruning
+   is charged: all of that happens inside the chunk functions, which are
+   the same {!Pfile} step primitives the eager iterators use. *)
 
 type batch = { tids : Tid.t array; records : bytes array }
 
@@ -71,26 +68,6 @@ let fold t ~init f =
   iter t (fun tid r -> acc := f !acc tid r);
   !acc
 
-let concat cursors =
-  let remaining = ref cursors in
-  let rec chunk () =
-    match !remaining with
-    | [] -> None
-    | c :: rest -> (
-        if c.exhausted then begin
-          remaining := rest;
-          chunk ()
-        end
-        else
-          match c.next_chunk () with
-          | Some _ as some -> some
-          | None ->
-              c.exhausted <- true;
-              remaining := rest;
-              chunk ())
-  in
-  of_chunks chunk
-
 let filtered t ~keep =
   of_chunks (fun () ->
       match t.next_chunk () with
@@ -136,25 +113,3 @@ let of_chains ?window ?filter pf ~heads =
             chunk ())
   in
   of_chunks chunk
-
-(* What it takes to be an access path: open a batch cursor for a full
-   scan, a key probe, or a key range, each under an optional temporal
-   window that the shared layer (the chunk functions above) prunes on. *)
-module type ACCESS_METHOD = sig
-  type file
-
-  val scan_cursor : ?window:Time_fence.window -> file -> t
-
-  val lookup_cursor : ?window:Time_fence.window -> file -> Value.t -> t
-  (** Records whose key equals the probe (everything, for a keyless
-      file: the caller filters). *)
-
-  val range_cursor :
-    ?window:Time_fence.window ->
-    file ->
-    lo:Value.t option ->
-    hi:Value.t option ->
-    t
-  (** Records with lo <= key <= hi on the bounded sides (everything, for
-      a keyless file: the caller filters). *)
-end

@@ -32,18 +32,9 @@ val fold : t -> init:'a -> ('a -> Tid.t -> bytes -> 'a) -> 'a
 
 val empty : t
 
-val concat : t list -> t
-(** Chains cursors end to end (still page-aligned; batches never span
-    the seam's page boundaries beyond target accumulation). *)
-
 val filtered : t -> keep:(bytes -> bool) -> t
 (** A view of the cursor that drops records failing [keep] (page flow and
     accounting untouched). *)
-
-val of_chunks : (unit -> (Tid.t * bytes) list option) -> t
-(** Builds a cursor from a raw chunk source: one page's records per
-    [Some] (possibly [[]]), [None] when exhausted.  For sources with
-    bespoke traversal (the two-level store's history segments). *)
 
 val of_pages :
   ?window:Time_fence.window ->
@@ -66,26 +57,3 @@ val of_chains :
     completed walks feed the chain-length histogram exactly like
     {!Pfile.chain_iter}.  [heads] is consumed lazily, so a head sequence
     may depend on state the walk updates. *)
-
-(** The contract every access method implements (heap, hash, ISAM, and
-    the two-level store): cursors for scan, key probe and key range,
-    with the temporal window handled once in this shared layer. *)
-module type ACCESS_METHOD = sig
-  type file
-
-  val scan_cursor : ?window:Time_fence.window -> file -> t
-
-  val lookup_cursor :
-    ?window:Time_fence.window -> file -> Tdb_relation.Value.t -> t
-  (** Records whose key equals the probe (everything, for a keyless
-      file: the caller filters). *)
-
-  val range_cursor :
-    ?window:Time_fence.window ->
-    file ->
-    lo:Tdb_relation.Value.t option ->
-    hi:Tdb_relation.Value.t option ->
-    t
-  (** Records with lo <= key <= hi on the bounded sides (everything, for
-      a keyless file: the caller filters). *)
-end

@@ -66,7 +66,6 @@ let describe t =
   match t.backend with Mem _ -> "<mem>" | File f -> f.path
 
 let epoch t = t.epoch
-let set_epoch t e = t.epoch <- e
 let bump_epoch t = t.epoch <- t.epoch + 1
 let recovery_report t = t.recovery
 

@@ -56,7 +56,6 @@ val epoch : t -> int
 (** The epoch stamped into pages on write.  After a recovery pass it is
     one past the newest epoch found in the file. *)
 
-val set_epoch : t -> int -> unit
 val bump_epoch : t -> unit
 (** Checkpoint boundary: subsequent writes carry the next epoch. *)
 

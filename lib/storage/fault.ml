@@ -43,7 +43,6 @@ let create ?(seed = 0) ?crash_after_write ?crash_at_write ?torn_write_at
 let reads t = t.reads
 let writes t = t.writes
 let is_dead t = t.dead
-let kill t = t.dead <- true
 
 let check_alive t = if t.dead then raise Crashed
 

@@ -42,9 +42,6 @@ val writes : t -> int
 
 val is_dead : t -> bool
 
-val kill : t -> unit
-(** Marks the plan dead immediately, as a crash would. *)
-
 val on_read : t -> len:int -> [ `Ok | `Eio | `Short of int ]
 (** Consulted before a read of [len] bytes.  [`Short n] means only [n]
     bytes (0 <= n < len) are available.  Raises {!Crashed} if dead. *)

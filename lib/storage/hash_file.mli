@@ -88,8 +88,6 @@ val range_filter :
   bytes -> bool
 (** The record filter {!range_cursor} applies (key within [\[lo, hi\]]). *)
 
-module Access : Cursor.ACCESS_METHOD with type file = t
-
 val npages : t -> int
 val chain_pages : t -> Tdb_relation.Value.t -> int
 (** Length (in pages) of the key's bucket chain. *)

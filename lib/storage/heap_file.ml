@@ -67,14 +67,6 @@ let scan_cursor ?window t =
 let lookup_cursor ?window t _key = scan_cursor ?window t
 let range_cursor ?window t ~lo:_ ~hi:_ = scan_cursor ?window t
 
-module Access = struct
-  type file = t
-
-  let scan_cursor = scan_cursor
-  let lookup_cursor = lookup_cursor
-  let range_cursor = range_cursor
-end
-
 let iter ?window t f = Cursor.iter (scan_cursor ?window t) f
 
 let npages t = Pfile.npages t.pf

@@ -40,8 +40,6 @@ val range_cursor :
   Cursor.t
 (** Keyless: both present every record and the caller filters. *)
 
-module Access : Cursor.ACCESS_METHOD with type file = t
-
 val npages : t -> int
 val record_count : t -> int
 (** Counts by scanning (costs a scan's I/O). *)

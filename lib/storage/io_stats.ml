@@ -51,10 +51,6 @@ let count_sync_write t =
 (* Raw only: [Time_fence.note_skipped] feeds the metric and the span. *)
 let count_skip t = Metric.incr t.sk
 
-(* Historical name; before the eviction/sync split every write went
-   through here.  Kept for call sites that flush outside the pool. *)
-let count_write = count_sync_write
-
 (* Fold a worker partition's private stats into the owning pool's.  The
    worker already fed the registered global counters at count time (they
    are atomic), so only the raw per-pool counters are added here; trace

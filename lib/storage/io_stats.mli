@@ -36,9 +36,6 @@ val count_skip : t -> unit
 (** Count one skipped page against this pool only: the global prune
     counter and the trace span are {!Time_fence.note_skipped}'s job. *)
 
-val count_write : t -> unit
-(** Alias for {!count_sync_write} (the historical single counter). *)
-
 val reset : t -> unit
 
 val absorb : ?trace:bool -> into:t -> t -> unit

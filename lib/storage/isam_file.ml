@@ -352,15 +352,6 @@ let range_filter t ~lo ~hi record =
   (match lo with Some l -> Value.compare l k <= 0 | None -> true)
   && match hi with Some h -> Value.compare k h <= 0 | None -> true
 
-module Access = struct
-  type file = t
-
-  let scan_cursor = scan_cursor
-  let lookup_cursor = lookup_cursor
-
-  let range_cursor ?window t ~lo ~hi = range_cursor ?window t ~lo ~hi
-end
-
 let lookup ?window t key f = Cursor.iter (lookup_cursor ?window t key) f
 let iter ?window t f = Cursor.iter (scan_cursor ?window t) f
 

@@ -107,8 +107,6 @@ val range_cursor :
   Cursor.t
 (** Batched ordered range scan; {!iter_range} is this cursor, drained. *)
 
-module Access : Cursor.ACCESS_METHOD with type file = t
-
 val npages : t -> int
 
 (** {1 Probe runs}

@@ -137,10 +137,6 @@ let read_record t (tid : Tid.t) =
   let page = Buffer_pool.read t.pool tid.page in
   Page.read_record ~record_size:t.record_size page tid.slot
 
-let record_exists t (tid : Tid.t) =
-  let page = Buffer_pool.read t.pool tid.page in
-  tid.slot < t.capacity && Page.slot_used ~record_size:t.record_size page tid.slot
-
 let write_record t (tid : Tid.t) record =
   Buffer_pool.modify t.pool tid.page (fun page ->
       Page.write_record ~record_size:t.record_size page tid.slot record);
@@ -308,9 +304,3 @@ let cached_chain_pages t ~head =
     Some (go [] head)
 
 let chain_length t ~head = List.length (chain_pages t ~head)
-
-let free_slots_on t ~page =
-  let frame = Buffer_pool.read t.pool page in
-  t.capacity - Page.used_count ~record_size:t.record_size frame
-
-let drop_hints t = Hashtbl.reset t.hints

@@ -26,7 +26,6 @@ val allocate_page : t -> int
 val read_record : t -> Tid.t -> bytes
 (** Raises [Invalid_argument] if the slot is free. *)
 
-val record_exists : t -> Tid.t -> bool
 val write_record : t -> Tid.t -> bytes -> unit
 val clear_record : t -> Tid.t -> unit
 
@@ -93,10 +92,6 @@ val chain_step :
 val observe_chain_length : int -> unit
 (** Feed one completed chain walk's page count to the chain-length
     histogram (what {!chain_iter} records internally). *)
-
-val free_slots_on : t -> page:int -> int
-val drop_hints : t -> unit
-(** Clears first-fit hints (after a rebuild). *)
 
 (** {1 Time fences}
 

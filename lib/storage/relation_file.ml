@@ -631,16 +631,6 @@ let partition_access ?window ?keep t ~parts access =
                  | Hash_impl _ | Isam_impl _ ->
                      Cursor.of_chains ?window ?filter pf' ~heads:hs)))
 
-let scan_partitions ?window t ~parts =
-  match partition_preview ?window t ~parts Full_scan with
-  | Some p -> p.pp_parts
-  | None -> max 1 (min parts (data_heads t))
-
-let partition_scan ?window t ~parts =
-  match partition_access ?window t ~parts Full_scan with
-  | Some parts -> parts
-  | None -> assert false (* a full scan always has a shape *)
-
 (* Test one record's transaction period against a fixed window straight
    from its bytes, mirroring [Tuple.transaction_period] composed with
    [Period.overlaps] exactly (including the degenerate stop < start event
@@ -807,7 +797,6 @@ let set_first_fit t v =
 
 let recovery t = Disk.recovery_report t.disk
 let fences_enabled t = Pfile.fences_enabled (data_pf t)
-let fence_sidecar t = t.sidecar
 
 let sync t =
   Buffer_pool.sync t.pool;

@@ -139,16 +139,6 @@ val partition_access :
     stats back with {!Io_stats.absorb} after the join.  [None] exactly
     when {!partition_preview} answers [None]. *)
 
-val scan_partitions : ?window:Time_fence.window -> t -> parts:int -> int
-(** How many partitions {!partition_scan} would return for [parts]
-    requested (bounded by the data area's chain-head count, after shard
-    pruning under [?window]), without building them and without charging
-    anything.  For planners and [\explain]. *)
-
-val partition_scan :
-  ?window:Time_fence.window -> t -> parts:int -> (Cursor.t * Io_stats.t) list
-(** [partition_access] at [Full_scan] (which always fans out). *)
-
 val transaction_overlaps :
   Tdb_relation.Schema.t -> (Tdb_time.Period.t -> bytes -> bool) option
 (** Tests a record's transaction period against a window straight from
@@ -237,15 +227,7 @@ val attr_offset : Tdb_relation.Schema.t -> int -> int
 (** Byte offset of attribute [i] within an encoded tuple (exposed for index
     builders). *)
 
-val stamp_extractor :
-  Tdb_relation.Schema.t -> (bytes -> Time_fence.stamp) option
-(** The fence stamp derived from a schema's implicit time attributes, read
-    straight from encoded record bytes; [None] for a static schema (also
-    used by the two-level store's history file). *)
-
 val fences_enabled : t -> bool
-val fence_sidecar : t -> string option
-(** Where the fence summary persists, for file-backed relations. *)
 
 val sync : t -> unit
 (** Flushes the pool, fsyncs the backing file, advances the write epoch

@@ -78,8 +78,6 @@ let absorb dst src =
 
 type window = { transaction : Period.t option; valid : Period.t option }
 
-let no_window = { transaction = None; valid = None }
-
 (* Adding a bound is only sound when the dimension was unbounded: a page
    whose records satisfy two independent constraints separately need not
    contain a record satisfying their intersection, so an existing bound is

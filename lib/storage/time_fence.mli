@@ -1,6 +1,6 @@
 (** Per-page time fences: the pruning metadata behind temporal skip-scans.
 
-    A fence records, for one page (or one history segment), the minimum
+    A fence records, for one page, the minimum
     transaction-start / valid-from and maximum transaction-stop / valid-to
     chronon over every record ever written there.  Fences are {e
     conservative}: they only widen — in-place updates and slot clears never
@@ -55,7 +55,6 @@ type window = { transaction : Period.t option; valid : Period.t option }
     and a constant [when ... overlap] clause (valid dimension).  [None]
     means unbounded on that dimension. *)
 
-val no_window : window
 val window_is_unbounded : window -> bool
 
 val narrow_valid : window option -> Period.t option -> window option

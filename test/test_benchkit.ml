@@ -196,7 +196,7 @@ let test_obs_json_schema () =
 (* A minimal document that passes every internal gate, with knobs for the
    fields the tests perturb. *)
 let bench_doc ?(max_uc = 3) ?(smoke = false) ?(h_pages = 7) ?(overhead = 0.5)
-    ?(tuples_per_s = 100.0) ?(scale_domains = 1) ?(scale1_speedup = 1.0)
+    ?(scale_domains = 1) ?(scale1_speedup = 1.0)
     ?(scale10_speedup = 2.5) ?(cy_domains = 1) ?(cy_speedup = 2.5)
     ?(cy_rate4 = 400.0) ?(tj_domains = 1) ?(tj_speedup = 3.0)
     ?(tj_off = 1.0) ?(tj_identical = true) () =
@@ -273,21 +273,6 @@ let bench_doc ?(max_uc = 3) ?(smoke = false) ?(h_pages = 7) ?(overhead = 0.5)
                   ("queries", Json.int 4);
                   ("skipped", Json.int 10);
                   ("worst_ratio", Json.Num 0.4);
-                ] );
-          ] );
-      ( "throughput",
-        Json.Obj
-          [
-            ( "queries",
-              Json.List
-                [
-                  Json.Obj
-                    [
-                      ("query", Json.Str "Q01");
-                      ("tuples_per_s", Json.Num tuples_per_s);
-                      ("reads", Json.Num 5.0);
-                      ("wall_s", Json.Num 0.1);
-                    ];
                 ] );
           ] );
       ( "parallel",
@@ -515,16 +500,6 @@ let test_compare_tjoin_gates () =
     drift.Compare.failures;
   Alcotest.(check bool) "but it warns" true (drift.Compare.warnings <> [])
 
-let test_compare_throughput_drift_warns () =
-  let o =
-    Compare.compare_docs ~old_label:"a" ~new_label:"b"
-      (bench_doc ~tuples_per_s:100.0 ())
-      (bench_doc ~tuples_per_s:10.0 ())
-  in
-  Alcotest.(check (list string)) "drop is not a hard failure" []
-    o.Compare.failures;
-  Alcotest.(check bool) "but it warns" true (o.Compare.warnings <> [])
-
 let test_compare_scale_gates () =
   (* on a small machine the speedup gates self-skip *)
   let small = bench_doc ~scale10_speedup:1.2 ~scale1_speedup:0.5 () in
@@ -595,8 +570,6 @@ let suites =
           test_compare_concurrency_gates;
         Alcotest.test_case "compare: tjoin gates" `Quick
           test_compare_tjoin_gates;
-        Alcotest.test_case "compare: throughput drift warns" `Quick
-          test_compare_throughput_drift_warns;
         Alcotest.test_case "compare: scale gates" `Quick
           test_compare_scale_gates;
         Alcotest.test_case "compare: trend tables" `Quick

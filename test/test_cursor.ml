@@ -1,8 +1,7 @@
 (* Access-path cursor conformance: for every access method, draining the
    cursor yields the same record multiset as the eager page/chain walk it
    replaced, with identical page I/O and identical fence skips — with and
-   without a temporal window.  The two-level store's access module is
-   checked at the tuple level across both of its stores. *)
+   without a temporal window. *)
 
 module Disk = Tdb_storage.Disk
 module Buffer_pool = Tdb_storage.Buffer_pool
@@ -15,9 +14,7 @@ module Heap_file = Tdb_storage.Heap_file
 module Hash_file = Tdb_storage.Hash_file
 module Isam_file = Tdb_storage.Isam_file
 module Relation_file = Tdb_storage.Relation_file
-module Two_level_store = Tdb_twostore.Two_level_store
 module Schema = Tdb_relation.Schema
-module Tuple = Tdb_relation.Tuple
 module Value = Tdb_relation.Value
 module Attr_type = Tdb_relation.Attr_type
 module Db_type = Tdb_relation.Db_type
@@ -206,121 +203,6 @@ let test_isam_conformance () =
   Alcotest.(check int) "isam range finds 10..19" 10 (List.length recs);
   Alcotest.(check bool) "isam range bounded cost" true (reads <= probe_budget)
 
-(* --- the two-level store, at the tuple level --- *)
-
-let ts_attr name ty = { Schema.name; ty }
-
-let ts_schema =
-  Schema.create_exn
-    ~db_type:(Db_type.Temporal Db_type.Interval)
-    [
-      ts_attr "id" Attr_type.I4;
-      ts_attr "amount" Attr_type.I4;
-      ts_attr "seq" Attr_type.I4;
-      ts_attr "string" (Attr_type.C 96);
-    ]
-
-let ts_tuple id =
-  [|
-    Value.Int id;
-    Value.Int (id * 10);
-    Value.Int 0;
-    Value.Str "x";
-    Value.Time (c 100);
-    Value.Time Chronon.forever;
-    Value.Time (c 100);
-    Value.Time Chronon.forever;
-  |]
-
-let ts_n = 32
-let ts_rounds = 2
-
-let evolved_store () =
-  let store =
-    Two_level_store.create ~schema:ts_schema
-      ~organization:(Relation_file.Hash { key_attr = 0; fillfactor = 100 })
-      ~clustered:true
-      (List.init ts_n ts_tuple)
-  in
-  for r = 1 to ts_rounds do
-    for id = 0 to ts_n - 1 do
-      ignore
-        (Two_level_store.replace store
-           ~now:(c (1000 * r))
-           ~key:(Value.Int id)
-           (fun tu ->
-             (match tu.(2) with
-             | Value.Int s -> tu.(2) <- Value.Int (s + 1)
-             | _ -> ());
-             tu))
-    done
-  done;
-  store
-
-let drain_tuples store cursor =
-  let out = ref [] in
-  Cursor.iter cursor (fun _ record ->
-      out := Two_level_store.decode_record store record :: !out);
-  List.sort compare !out
-
-let test_twostore_conformance () =
-  let store = evolved_store () in
-  (* Every replace pushes two history versions; the current version stays
-     in the primary store.  One cursor spans both levels. *)
-  let all = drain_tuples store (Two_level_store.scan_cursor store) in
-  Alcotest.(check int) "all versions"
-    (ts_n + (ts_n * ts_rounds * 2))
-    (List.length all);
-  let eager = ref [] in
-  Two_level_store.scan_all store (fun tu -> eager := tu :: !eager);
-  Alcotest.(check bool) "cursor = eager scan_all" true
-    (all = List.sort compare !eager);
-  (* Keyed probe: exactly the versions of that key, from both levels. *)
-  let key = Value.Int 7 in
-  let versions =
-    drain_tuples store (Two_level_store.Access.lookup_cursor store key)
-  in
-  Alcotest.(check int) "versions of one key"
-    (1 + (ts_rounds * 2))
-    (List.length versions);
-  List.iter
-    (fun tu ->
-      Alcotest.(check bool) "probe key" true (Value.equal tu.(0) key))
-    versions;
-  (* Range probe: all versions of keys 4..6. *)
-  let ranged =
-    drain_tuples store
-      (Two_level_store.Access.range_cursor store ~lo:(Some (Value.Int 4))
-         ~hi:(Some (Value.Int 6)))
-  in
-  Alcotest.(check int) "versions in range"
-    (3 * (1 + (ts_rounds * 2)))
-    (List.length ranged)
-
-let test_twostore_as_of_conformance () =
-  let store = evolved_store () in
-  (* Roll back to between the evolution rounds: the qualifying versions
-     (exact overlap test applied, as the executor does) must be identical
-     through the pruned rollback cursor and the full scan. *)
-  let at = c 1500 in
-  let qualifying cursor =
-    let out = ref [] in
-    Cursor.iter cursor (fun _ record ->
-        let tu = Two_level_store.decode_record store record in
-        match Tuple.transaction_period ts_schema tu with
-        | Some p when Period.overlaps p (Period.at at) -> out := tu :: !out
-        | _ -> ());
-    List.sort compare !out
-  in
-  let reference = qualifying (Two_level_store.scan_cursor store) in
-  (* Two versions per tuple overlap a mid-round instant: the round-1
-     replacement, and the "validity ended" version the temporal replace
-     semantics record (its transaction time never closes). *)
-  Alcotest.(check int) "two versions per tuple" (2 * ts_n)
-    (List.length reference);
-  let got = qualifying (Two_level_store.as_of_cursor store ~at) in
-  Alcotest.(check bool) "as-of cursor" true (got = reference)
-
 (* --- partitioned scans (the parallel executor's fan-out contract) ---
 
    For every organization and partition count: concatenating the
@@ -328,6 +210,8 @@ let test_twostore_as_of_conformance () =
    rows exactly (which implies the multiset union), no data page appears
    in two partitions, and the partitions' summed reads plus fence skips
    conserve the sequential scan's. *)
+
+let ts_attr name ty = { Schema.name; ty }
 
 let pr_n = 100
 
@@ -368,6 +252,11 @@ let drain_cursor cursor =
   Cursor.iter cursor (fun tid r -> out := (tid, Bytes.to_string r) :: !out);
   List.rev !out
 
+(* A full scan always has a partition shape. *)
+let full_partitions ?window rel ~parts =
+  Option.get
+    (Relation_file.partition_access ?window rel ~parts Relation_file.Full_scan)
+
 let sum_reads stats_list =
   List.fold_left
     (fun acc s -> acc + (Io_stats.snapshot s).Io_stats.reads)
@@ -394,7 +283,7 @@ let check_partitions ~expect_prune name rel window parts =
   let reads_seq = (Io_stats.snapshot (Relation_file.stats rel)).Io_stats.reads in
   let skips_seq = Time_fence.pages_skipped () in
   Time_fence.reset_pages_skipped ();
-  let ps = Relation_file.partition_scan ?window rel ~parts in
+  let ps = full_partitions ?window rel ~parts in
   let drains = List.map (fun (cursor, _) -> drain_cursor cursor) ps in
   let skips_par = Time_fence.pages_skipped () in
   let reads_par = sum_reads (List.map snd ps) in
@@ -481,12 +370,15 @@ let test_shard_prune_zero_assignment () =
           Alcotest.(check int) (label ^ ": preview sees no live pages") 0
             p.Relation_file.pp_pages);
       Alcotest.(check int)
-        (label ^ ": scan_partitions collapses")
+        (label ^ ": preview collapses to one partition")
         1
-        (Relation_file.scan_partitions ?window:w rel ~parts:4);
+        (Option.get
+           (Relation_file.partition_preview ?window:w rel ~parts:4
+              Relation_file.Full_scan))
+          .Relation_file.pp_parts;
       Io_stats.reset (Relation_file.stats rel);
       Time_fence.reset_pages_skipped ();
-      let ps = Relation_file.partition_scan ?window:w rel ~parts:4 in
+      let ps = full_partitions ?window:w rel ~parts:4 in
       let drains = List.map (fun (cursor, _) -> drain_cursor cursor) ps in
       Alcotest.(check int) (label ^ ": one empty partition") 1 (List.length ps);
       Alcotest.(check int) (label ^ ": zero rows assigned") 0
@@ -588,46 +480,10 @@ let test_probe_partition_conformance () =
 
 let test_partition_empty () =
   let rel = Relation_file.create ~name:"empty_part" ~schema:pr_schema () in
-  let ps = Relation_file.partition_scan rel ~parts:4 in
+  let ps = full_partitions rel ~parts:4 in
   Alcotest.(check int) "one partition" 1 (List.length ps);
   Alcotest.(check int) "no rows" 0
     (List.length (drain_cursor (fst (List.hd ps))))
-
-(* The two-level store: partitions span both levels (primary ranges,
-   then history segments); concatenation order and I/O conservation as
-   above.  Page disjointness within each level is covered by the
-   relation-file check and the segment-aligned history split. *)
-let test_twostore_partition_conformance () =
-  let store = evolved_store () in
-  List.iter
-    (fun parts ->
-      List.iter
-        (fun w ->
-          let name =
-            Printf.sprintf "two-level parts=%d%s" parts
-              (if w = None then "" else "+window")
-          in
-          Two_level_store.reset_io store;
-          Time_fence.reset_pages_skipped ();
-          let rows_seq =
-            drain_cursor (Two_level_store.scan_cursor ?window:w store)
-          in
-          let reads_seq = (Two_level_store.io store).Io_stats.reads in
-          let skips_seq = Time_fence.pages_skipped () in
-          Time_fence.reset_pages_skipped ();
-          let ps = Two_level_store.partition_scan ?window:w store ~parts in
-          let drains = List.map (fun (cursor, _) -> drain_cursor cursor) ps in
-          let skips_par = Time_fence.pages_skipped () in
-          let reads_par = sum_reads (List.map snd ps) in
-          Alcotest.(check bool)
-            (name ^ ": concatenation = sequential")
-            true
-            (List.concat drains = rows_seq);
-          Alcotest.(check int)
-            (name ^ ": reads+skips conserved")
-            (reads_seq + skips_seq) (reads_par + skips_par))
-        [ None; Some (window 950 1050) ])
-    part_counts
 
 (* A record filter inside the cursor: with [keep], every access path
    yields exactly the unfiltered cursor's records that pass [keep], in
@@ -726,10 +582,6 @@ let suites =
         Alcotest.test_case "heap conformance" `Quick test_heap_conformance;
         Alcotest.test_case "hash conformance" `Quick test_hash_conformance;
         Alcotest.test_case "isam conformance" `Quick test_isam_conformance;
-        Alcotest.test_case "two-level conformance" `Quick
-          test_twostore_conformance;
-        Alcotest.test_case "two-level as-of conformance" `Quick
-          test_twostore_as_of_conformance;
         Alcotest.test_case "partition conformance" `Quick
           test_partition_conformance;
         Alcotest.test_case "shard pruning: zero assignments" `Quick
@@ -738,8 +590,6 @@ let suites =
           test_probe_partition_conformance;
         Alcotest.test_case "partitioning an empty relation" `Quick
           test_partition_empty;
-        Alcotest.test_case "two-level partition conformance" `Quick
-          test_twostore_partition_conformance;
         Alcotest.test_case "keep filter conformance" `Quick
           test_keep_conformance;
       ] );

@@ -330,56 +330,79 @@ let test_hash_index_lookup_cheap () =
     true
     (hash_reads * 10 < heap_reads)
 
-let test_attached_index_maintained () =
-  (* An attached 2-level index must stay consistent through appends,
-     replaces and deletes. *)
-  let store = make ~clustered:true in
-  Two_level_store.attach_index store ~name:"by_amount" ~attr:1
-    ~structure:Secondary_index.Hash_index;
-  let check_consistent msg =
-    (* every current tuple is findable through the index by its amount,
-       and the index returns nothing stale *)
-    let currents = ref [] in
-    Two_level_store.current_scan store (fun tu -> currents := tu :: !currents);
-    List.iter
-      (fun tu ->
-        let hits = ref 0 in
-        Two_level_store.indexed_lookup store ~name:"by_amount" tu.(1)
-          (fun found ->
-            if Value.equal found.(0) tu.(0) then incr hits);
-        if !hits < 1 then
-          Alcotest.failf "%s: tuple %s unreachable via index" msg
-            (Value.to_string tu.(0)))
-      !currents;
-    let entries, _ = Two_level_store.index_stats store ~name:"by_amount" ~current:true in
-    Alcotest.(check int) (msg ^ ": index entries = current tuples")
-      (List.length !currents) entries
-  in
-  check_consistent "fresh";
-  evolve store ~rounds:3;
-  check_consistent "after evolution";
-  ignore (Two_level_store.delete store ~now:(Chronon.of_seconds 9000) ~key:(Value.Int 7));
-  check_consistent "after delete";
-  Two_level_store.append store ~now:(Chronon.of_seconds 9500) (tuple 777);
-  check_consistent "after append";
-  (* the history level grew with evolution: 2 versions per replace round
-     per tuple, plus the delete's two closing versions *)
-  let h_entries, _ = Two_level_store.index_stats store ~name:"by_amount" ~current:false in
-  Alcotest.(check int) "history index entries" ((n_tuples * 3 * 2) + 2) h_entries
-
-let test_indexed_lookup_cost () =
+let test_index_fetch_cost () =
   let store = make ~clustered:true in
   evolve store ~rounds:8;
-  Two_level_store.attach_index store ~name:"by_amount" ~attr:1
-    ~structure:Secondary_index.Hash_index;
+  (* Figure 10's 2-level-index path: a hash index over the current
+     versions only, then a fetch of each listed tuple from the primary
+     store. *)
+  let index =
+    Secondary_index.build ~structure:Secondary_index.Hash_index
+      ~key_type:Attr_type.I4
+      (List.map
+         (fun (tid, tu) -> (tu.(1), tid))
+         (Two_level_store.current_tids store))
+  in
   Two_level_store.reset_io store;
   let n = ref 0 in
-  Two_level_store.indexed_lookup store ~name:"by_amount" (Value.Int 50)
-    (fun _ -> incr n);
+  List.iter
+    (fun tid ->
+      let tu = Two_level_store.fetch_current store tid in
+      if Value.equal tu.(1) (Value.Int 50) then incr n)
+    (Secondary_index.lookup index (Value.Int 50));
   Alcotest.(check int) "one current match" 1 !n;
   (* only the primary store is touched for the data fetch: 1 page *)
   Alcotest.(check int) "one data page"
     1 (Two_level_store.io store).Io_stats.reads
+
+let test_scan_all_both_levels () =
+  (* Figure 10's Q03 column: a scan of every version reads each page of
+     both levels once, and yields the current versions followed by the
+     history versions. *)
+  List.iter
+    (fun clustered ->
+      let store = make ~clustered in
+      evolve store ~rounds:5;
+      let label = if clustered then "clustered" else "simple" in
+      Two_level_store.reset_io store;
+      let rows = ref [] in
+      Two_level_store.scan_all store (fun tu -> rows := tu :: !rows);
+      Alcotest.(check int)
+        (label ^ ": reads primary + history pages")
+        (Two_level_store.primary_pages store
+        + Two_level_store.history_pages store)
+        (Two_level_store.io store).Io_stats.reads;
+      let current = ref [] in
+      Two_level_store.current_scan store (fun tu -> current := tu :: !current);
+      let current = List.rev !current in
+      let history =
+        List.concat_map
+          (fun cur ->
+            let versions = ref [] in
+            Two_level_store.version_scan store cur.(0) (fun tu ->
+                versions := tu :: !versions);
+            List.tl (List.rev !versions))
+          current
+      in
+      let rows = List.rev !rows in
+      let ncur = List.length current in
+      Alcotest.(check int)
+        (label ^ ": row count")
+        (ncur + List.length history)
+        (List.length rows);
+      let key tu = Array.to_list (Array.map Value.to_string tu) in
+      Alcotest.(check bool)
+        (label ^ ": current versions first, in scan order")
+        true
+        (List.map key (List.filteri (fun i _ -> i < ncur) rows)
+        = List.map key current);
+      Alcotest.(check bool)
+        (label ^ ": then every history version")
+        true
+        (List.sort compare
+           (List.map key (List.filteri (fun i _ -> i >= ncur) rows))
+        = List.sort compare (List.map key history)))
+    [ false; true ]
 
 let prop_index_complete =
   QCheck2.Test.make ~name:"secondary index: lookup finds every inserted tid"
@@ -397,93 +420,6 @@ let prop_index_complete =
           let expected = List.length (List.filter (( = ) k) keys) in
           List.length (Secondary_index.lookup idx (Value.Int k)) = expected)
         (List.sort_uniq compare keys))
-
-(* --- epoch-fenced snapshot boundaries --- *)
-
-let test_history_boundary_within () =
-  let pool = Buffer_pool.create (Disk.create_mem ()) (Io_stats.create ()) in
-  let hs = History_store.create pool ~tuple_size:124 ~clustered:true in
-  let push i prev =
-    History_store.push hs ~now:(Chronon.of_seconds (100 + i))
-      ~cluster:(Value.Int 1)
-      ~tuple:(Tuple.encode schema (tuple i))
-      ~prev
-  in
-  let t1 = push 1 None in
-  let t2 = push 2 (Some t1) in
-  let b = History_store.boundary hs in
-  (* same cluster, so this lands in the free tail of t1/t2's page: the
-     page is within the boundary but the slot is not *)
-  let t3 = push 3 (Some t2) in
-  Alcotest.(check bool) "t3 shares the page" true (t3.Tid.page = t1.Tid.page);
-  Alcotest.(check bool) "t1 within" true (History_store.within b t1);
-  Alcotest.(check bool) "t2 within" true (History_store.within b t2);
-  Alcotest.(check bool) "t3 beyond (slot)" false (History_store.within b t3);
-  (* a fresh cluster allocates a new page: beyond by the page bound *)
-  let t4 =
-    History_store.push hs ~now:(Chronon.of_seconds 200)
-      ~cluster:(Value.Int 2)
-      ~tuple:(Tuple.encode schema (tuple 4))
-      ~prev:None
-  in
-  Alcotest.(check bool) "t4 beyond (page)" false (History_store.within b t4)
-
-let ts_index = Option.get (Schema.transaction_start_index schema)
-let te_index = Option.get (Schema.transaction_stop_index schema)
-
-let visible_at s tu =
-  match (tu.(ts_index), tu.(te_index)) with
-  | Value.Time a, Value.Time b ->
-      Chronon.compare a s <= 0 && Chronon.compare s b < 0
-  | _ -> false
-
-let test_snapshot_scan_fenced () =
-  let store = make ~clustered:true in
-  (* retire ids 32..63 before the boundary so the versions visible at the
-     boundary stamp (500) all live where later statements never write:
-     untouched primary slots (ids 0..31) and pre-boundary history records
-     (ids 32..63, superseded at 1100) *)
-  for id = 32 to 63 do
-    ignore
-      (Two_level_store.replace store ~now:(Chronon.of_seconds 1100)
-         ~key:(Value.Int id) bump_seq)
-  done;
-  let s = Chronon.of_seconds 500 in
-  let b = Two_level_store.boundary store ~at:s in
-  Alcotest.(check bool) "boundary stamp" true
-    (Chronon.equal (Two_level_store.boundary_stamp b) s);
-  let collect () =
-    let acc = ref [] in
-    Two_level_store.snapshot_scan store b (fun tu ->
-        if visible_at s tu then acc := tu :: !acc);
-    List.sort compare
-      (List.map (fun tu -> Array.to_list (Array.map Value.to_string tu)) !acc)
-  in
-  let baseline = collect () in
-  Alcotest.(check int) "one version per tuple at the stamp" n_tuples
-    (List.length baseline);
-  (* post-boundary statements: more churn on the already-retired tuples
-     (their clustered pushes land in the free tails of pre-boundary
-     pages), deletes, and brand-new appends *)
-  let pages_before = Two_level_store.history_pages store in
-  for id = 32 to 63 do
-    ignore
-      (Two_level_store.replace store ~now:(Chronon.of_seconds 2000)
-         ~key:(Value.Int id) bump_seq)
-  done;
-  for id = 32 to 39 do
-    ignore
-      (Two_level_store.delete store ~now:(Chronon.of_seconds 2100)
-         ~key:(Value.Int id))
-  done;
-  for id = 100 to 107 do
-    Two_level_store.append store ~now:(Chronon.of_seconds 2200) (tuple id)
-  done;
-  Alcotest.(check int)
-    "clustered pushes landed in pre-boundary pages" pages_before
-    (Two_level_store.history_pages store);
-  Alcotest.(check bool) "snapshot unchanged by later statements" true
-    (collect () = baseline)
 
 let suites =
   [
@@ -510,13 +446,9 @@ let suites =
         Alcotest.test_case "index page economy" `Quick test_index_page_economy;
         Alcotest.test_case "hash index beats heap" `Quick
           test_hash_index_lookup_cheap;
-        Alcotest.test_case "attached index maintained" `Quick
-          test_attached_index_maintained;
-        Alcotest.test_case "indexed lookup cost" `Quick test_indexed_lookup_cost;
-        Alcotest.test_case "history boundary bounds check" `Quick
-          test_history_boundary_within;
-        Alcotest.test_case "snapshot scan fenced at boundary" `Quick
-          test_snapshot_scan_fenced;
+        Alcotest.test_case "indexed lookup cost" `Quick test_index_fetch_cost;
+        Alcotest.test_case "scan_all reads both levels once" `Quick
+          test_scan_all_both_levels;
         QCheck_alcotest.to_alcotest prop_index_complete;
       ] );
   ]
