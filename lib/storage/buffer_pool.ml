@@ -1,6 +1,9 @@
 type frame = {
   mutable page_id : int;
   mutable data : bytes;
+  mutable shared : bool;
+      (* [data] is the disk's stored image, shared with every other pool
+         over the disk: {!modify} copies it before the first write *)
   mutable dirty : bool;
   mutable last_use : int;
 }
@@ -21,7 +24,13 @@ type t = {
 }
 
 let make_frame () =
-  { page_id = -1; data = Bytes.empty; dirty = false; last_use = 0 }
+  {
+    page_id = -1;
+    data = Bytes.empty;
+    shared = false;
+    dirty = false;
+    last_use = 0;
+  }
 
 let create ?(frames = 1) disk stats =
   if frames < 1 then invalid_arg "Buffer_pool.create: frames must be >= 1";
@@ -114,10 +123,13 @@ let load t id =
       f.page_id <- -1;
       f.data <- Bytes.empty;
       f.dirty <- false;
-      let data = Disk.read_page t.disk id in
+      let data = Disk.read_image t.disk id in
       Io_stats.count_read t.stats;
       f.page_id <- id;
       f.data <- data;
+      (* a mem disk hands out its stored image, a file disk a private
+         buffer *)
+      f.shared <- not (Disk.is_file_backed t.disk);
       Hashtbl.replace t.resident id f;
       touch t f;
       f
@@ -137,6 +149,7 @@ let allocate t =
   unbind t f;
   f.page_id <- id;
   f.data <- Page.create ();
+  f.shared <- false;
   f.dirty <- true;
   Hashtbl.replace t.resident id f;
   touch t f;
@@ -155,6 +168,13 @@ let modify t id fn =
           Page.seal ~epoch:(Disk.epoch t.disk) img;
           img)
   | _ -> ());
+  (* Copy on modify: the first write to a frame holding a stored image
+     takes a private copy, so neither the store nor any other pool's
+     frame sees the change before it is written back. *)
+  if f.shared then begin
+    f.data <- Bytes.copy f.data;
+    f.shared <- false
+  end;
   f.dirty <- true;
   fn f.data
 
@@ -171,6 +191,7 @@ let invalidate t =
     (fun f ->
       f.page_id <- -1;
       f.data <- Bytes.empty;
+      f.shared <- false;
       f.dirty <- false)
     t.frames
 

@@ -40,17 +40,18 @@ val allocate : t -> int
 (** A fresh zeroed page, resident and dirty. *)
 
 val read : t -> int -> bytes
-(** The page's current contents (a frame; valid only until the next pool
-    operation).  Callers must copy out what they need and must not mutate
-    the result — use {!modify} for updates. *)
+(** The page's current contents: the frame's bytes, which on a
+    memory-backed disk may be the disk's stored image itself, shared
+    with every other pool over that disk.  Never mutate them — use
+    {!modify} for updates — and copy out what must outlive the next pool
+    operation.  A miss counts one read in {!stats} whatever the backend:
+    the meter is logical. *)
 
 val modify : t -> int -> (bytes -> 'a) -> 'a
 (** [modify t id f] applies [f] to the frame holding page [id] and marks it
-    dirty (journalling a pre-image on the statement's first touch). *)
-
-val sealed_image : t -> int -> bytes
-(** A sealed, checksummed copy of the page's current logical content:
-    the resident frame if any, else the stored page. *)
+    dirty (journalling a pre-image on the statement's first touch).  A
+    frame holding a shared stored image is copied once, before its first
+    write; file-backed frames own their buffer and are never copied. *)
 
 val flush : t -> unit
 (** Writes back all dirty frames (counting writes) but keeps them resident. *)

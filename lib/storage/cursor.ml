@@ -68,18 +68,11 @@ let fold t ~init f =
   iter t (fun tid r -> acc := f !acc tid r);
   !acc
 
-let filtered t ~keep =
-  of_chunks (fun () ->
-      match t.next_chunk () with
-      | None ->
-          t.exhausted <- true;
-          None
-      | Some recs -> Some (List.filter (fun (_, r) -> keep r) recs))
-
-let apply_filter filter recs =
-  match filter with
-  | None -> recs
-  | Some keep -> List.filter (fun (_, r) -> keep r) recs
+let and_keep keep filter =
+  match (filter, keep) with
+  | f, None -> f
+  | None, Some k -> Some k
+  | Some f, Some k -> Some (fun r -> f r && k r)
 
 let of_pages ?window ?filter pf ~pages =
   let pages = ref pages in
@@ -88,7 +81,7 @@ let of_pages ?window ?filter pf ~pages =
       | Seq.Nil -> None
       | Seq.Cons (page, rest) ->
           pages := rest;
-          Some (apply_filter filter (Pfile.page_step ?window pf ~page)))
+          Some (Pfile.page_step ?window ?filter pf ~page))
 
 let of_chains ?window ?filter pf ~heads =
   let heads = ref heads in
@@ -97,13 +90,13 @@ let of_chains ?window ?filter pf ~heads =
   let rec chunk () =
     match !current with
     | Some (page, walked) ->
-        let records, next = Pfile.chain_step ?window pf ~page in
+        let records, next = Pfile.chain_step ?window ?filter pf ~page in
         (match next with
         | Some n -> current := Some (n, walked + 1)
         | None ->
             Pfile.observe_chain_length walked;
             current := None);
-        Some (apply_filter filter records)
+        Some records
     | None -> (
         match !heads () with
         | Seq.Nil -> None

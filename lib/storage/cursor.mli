@@ -32,9 +32,11 @@ val fold : t -> init:'a -> ('a -> Tid.t -> bytes -> 'a) -> 'a
 
 val empty : t
 
-val filtered : t -> keep:(bytes -> bool) -> t
-(** A view of the cursor that drops records failing [keep] (page flow and
-    accounting untouched). *)
+val and_keep :
+  (bytes -> bool) option -> (bytes -> bool) option -> (bytes -> bool) option
+(** [and_keep keep filter] tests a record with [filter] (an access
+    method's key or range filter), then with [keep] (a caller's compiled
+    restriction); either may be absent. *)
 
 val of_pages :
   ?window:Time_fence.window ->
@@ -44,8 +46,9 @@ val of_pages :
   t
 (** One chunk per page of [pages], via {!Pfile.page_step} (fence-skipped
     pages yield nothing and are charged to the prune counters).  [filter]
-    drops records before they reach a batch (key-equality and range
-    predicates of the keyed access methods). *)
+    is handed to the step, which copies only the records that pass it out
+    of the frame (key-equality and range predicates of the keyed access
+    methods, ANDed with a caller's restriction by {!and_keep}). *)
 
 val of_chains :
   ?window:Time_fence.window ->

@@ -3,6 +3,8 @@ let m_fsyncs = Tdb_obs.Metric.counter "tdb_disk_fsyncs_total"
 let m_checksum_failures =
   Tdb_obs.Metric.counter "tdb_disk_checksum_failures_total"
 
+let m_verifies = Tdb_obs.Metric.counter "tdb_disk_page_verifies_total"
+
 let m_recoveries = Tdb_obs.Metric.counter "tdb_recovery_runs_total"
 
 let m_recovered_torn =
@@ -14,7 +16,15 @@ let m_recovered_tail_bytes =
 let m_recovered_overflows =
   Tdb_obs.Metric.counter "tdb_recovery_overflows_cleared_total"
 
-type mem_store = { mutable pages : bytes array; mutable used : int }
+(* One stored page image.  An image never changes once stored: every
+   write, a torn one included, installs a new image.  [verified] lives
+   with the bytes it vouches for, so the first read of an image checks
+   its CRC and marks it, and no reader can mark an image it did not
+   check.  The flag is only ever set to [true] after a passing check, so
+   a racing second check is wasted work, never a wrong answer. *)
+type image = { bytes : bytes; mutable verified : bool }
+
+type mem_store = { mutable pages : image array; mutable used : int }
 
 type file_store = {
   fd : Unix.file_descr;
@@ -60,7 +70,13 @@ type t = {
 
 let locked t f =
   Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+  match f () with
+  | v ->
+      Mutex.unlock t.lock;
+      v
+  | exception e ->
+      Mutex.unlock t.lock;
+      raise e
 
 let describe t =
   match t.backend with Mem _ -> "<mem>" | File f -> f.path
@@ -114,11 +130,13 @@ let faulty_read t ~len =
       | `Eio -> Tdb_error.io "%s: injected EIO on read" (describe t)
       | `Short n -> `Short n)
 
-let fetch_page t id =
+(* The image a read serves: the stored one itself on the mem backend,
+   a fresh, unverified buffer on the file backend. *)
+let fetch_image t id =
   match t.backend with
   | Mem m -> (
       match faulty_read t ~len:Page.size with
-      | `Ok -> Bytes.copy m.pages.(id)
+      | `Ok -> m.pages.(id)
       | `Short n ->
           Tdb_error.io "%s: short read: got %d of %d bytes" (describe t) n
             Page.size)
@@ -134,7 +152,7 @@ let fetch_page t id =
               if n > 0 then raw_read_exactly f.fd buf ~len:n;
               Tdb_error.io "%s: short read: got %d of %d bytes" f.path n
                 Page.size);
-      buf
+      { bytes = buf; verified = false }
 
 (* Writes a sealed page image through the fault filter.  [write_prefix n]
    must persist the first [n] bytes of the image. *)
@@ -177,12 +195,18 @@ let seal_copy t page =
   sealed
 
 let mem_store m id sealed n =
-  (* a torn write leaves the old bytes beyond the torn prefix *)
-  if n = Bytes.length sealed then m.pages.(id) <- sealed
-  else begin
-    let dst = m.pages.(id) in
-    Bytes.blit sealed 0 dst 0 n
-  end
+  (* A torn write leaves the old bytes beyond the torn prefix.  It builds
+     a new image rather than blitting into the stored one: readers may
+     hold that image, and it may already be marked verified. *)
+  let bytes =
+    if n = Bytes.length sealed then sealed
+    else begin
+      let torn = Bytes.copy m.pages.(id).bytes in
+      Bytes.blit sealed 0 torn 0 n;
+      torn
+    end
+  in
+  m.pages.(id) <- { bytes; verified = false }
 
 let allocate t =
   locked t @@ fun () ->
@@ -190,12 +214,12 @@ let allocate t =
   | Mem m ->
       if m.used >= Array.length m.pages then begin
         let cap = max 8 (2 * Array.length m.pages) in
-        let pages = Array.make cap Bytes.empty in
+        let pages = Array.make cap { bytes = Bytes.empty; verified = false } in
         Array.blit m.pages 0 pages 0 m.used;
         m.pages <- pages
       end;
       let id = m.used in
-      m.pages.(id) <- Page.create ();
+      m.pages.(id) <- { bytes = Page.create (); verified = false };
       m.used <- id + 1;
       let sealed = seal_copy t (Page.create ()) in
       faulty_write t sealed ~write_prefix:(fun n -> mem_store m id sealed n);
@@ -209,26 +233,33 @@ let allocate t =
       f.npages <- id + 1;
       id
 
-let read_page t id =
-  (* Fetch under the lock (shared fd position / page array), but verify
-     the checksum outside it: [fetch_page] hands back a private copy, and
-     the CRC over a full page is the expensive part of a read — hoisting
-     it lets concurrent snapshot readers overlap their checksum work
-     instead of convoying on the disk mutex. *)
-  let buf =
+let read_image t id =
+  (* Fetch under the lock (shared fd position / page array / fault
+     counters), but verify the checksum outside it: the CRC over a full
+     page is the expensive part of a read, and hoisting it lets
+     concurrent snapshot readers overlap their checksum work instead of
+     convoying on the disk mutex.  A stored mem image is checked once;
+     a file read is a fresh buffer, checked every time. *)
+  let img =
     locked t @@ fun () ->
     check_id t id;
-    fetch_page t id
+    fetch_image t id
   in
-  if not (Page.check buf) then begin
-    Tdb_obs.Metric.incr m_checksum_failures;
-    Tdb_obs.Trace.event "checksum_failure"
-      ~attrs:[ ("file", describe t); ("page", string_of_int id) ];
-    Tdb_error.corruption
-      "%s: page %d failed its checksum (stored epoch %d)" (describe t) id
-      (Page.get_epoch buf)
+  if not img.verified then begin
+    Tdb_obs.Metric.incr m_verifies;
+    if not (Page.check img.bytes) then begin
+      Tdb_obs.Metric.incr m_checksum_failures;
+      Tdb_obs.Trace.event "checksum_failure"
+        ~attrs:[ ("file", describe t); ("page", string_of_int id) ];
+      Tdb_error.corruption
+        "%s: page %d failed its checksum (stored epoch %d)" (describe t) id
+        (Page.get_epoch img.bytes)
+    end;
+    img.verified <- true
   end;
-  buf
+  img.bytes
+
+let read_page t id = Bytes.copy (read_image t id)
 
 let write_page t id page =
   locked t @@ fun () ->

@@ -6,9 +6,13 @@
     pool counts identically for either backend) and a real file.
 
     Every write {e seals} the outgoing page image — stamps the disk's
-    current epoch and a CRC-32 into the page trailer — and every read
-    verifies the checksum, raising {!Tdb_error.Error} with class
-    [Corruption] instead of serving a torn or bit-flipped page.  Both
+    current epoch and a CRC-32 into the page trailer — and no read serves
+    bytes whose checksum has not been verified: a torn or bit-flipped
+    page raises {!Tdb_error.Error} with class [Corruption] instead.  The
+    file backend verifies every physical read.  The memory backend keeps
+    one immutable image per stored page (every write, torn or not,
+    installs a new one) and verifies each image at its first read only,
+    since an image that cannot change cannot go bad between reads.  Both
     backends accept an optional {!Fault} plan that deterministically
     injects short reads, EIO, torn writes, and crashes. *)
 
@@ -62,10 +66,19 @@ val bump_epoch : t -> unit
 val allocate : t -> int
 (** Extends the store by one zeroed (sealed) page and returns its id. *)
 
+val read_image : t -> int -> bytes
+(** The page's verified image.  On the memory backend this is the stored
+    image itself, shared with every other reader of the page: never
+    mutate it.  Its checksum is verified at its first read (counted by
+    [tdb_disk_page_verifies_total]) and not again.  On the file backend
+    it is a private buffer, read and verified on every call.  Raises
+    [Invalid_argument] on a bad id, {!Tdb_error.Error} ([Corruption]) on
+    a checksum mismatch, and {!Tdb_error.Error} ([Io]) on short reads or
+    I/O failure. *)
+
 val read_page : t -> int -> bytes
-(** A fresh copy of the page.  Raises [Invalid_argument] on a bad id,
-    {!Tdb_error.Error} ([Corruption]) on a checksum mismatch, and
-    {!Tdb_error.Error} ([Io]) on short reads or I/O failure. *)
+(** A fresh copy of {!read_image}: the caller may mutate it.  Raises
+    like {!read_image}. *)
 
 val write_page : t -> int -> bytes -> unit
 (** Seals a copy of the page image (the caller's buffer is not modified)

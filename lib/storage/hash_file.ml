@@ -60,29 +60,7 @@ let read t tid = Pfile.read_record t.pf tid
 let update t tid record = Pfile.write_record t.pf tid record
 let delete t tid = Pfile.clear_record t.pf tid
 
-let scan_cursor ?window t =
-  Cursor.of_chains ?window t.pf ~heads:(Seq.init t.buckets Fun.id)
-
-let lookup_cursor ?window t key =
-  (* Hashed access: the key's full bucket chain (any page may hold a
-     matching version), filtered down to equal keys. *)
-  Cursor.of_chains ?window t.pf
-    ~heads:(Seq.return (bucket_of t key))
-    ~filter:(fun record -> Value.equal (t.key_of record) key)
-
-let range_cursor ?window t ~lo ~hi =
-  (* No order in a hash file: filter a full scan. *)
-  match (lo, hi) with
-  | None, None -> scan_cursor ?window t
-  | _ ->
-      Cursor.of_chains ?window t.pf
-        ~heads:(Seq.init t.buckets Fun.id)
-        ~filter:(fun record ->
-          let k = t.key_of record in
-          (match lo with Some l -> Value.compare l k <= 0 | None -> true)
-          && match hi with Some u -> Value.compare k u <= 0 | None -> true)
-
-(* The record filters the probe cursors above apply, exposed so a
+(* The record filters the probe cursors below apply, exposed so a
    partitioned probe (sub-runs of the bucket chain, or of the whole
    primary area for a range) filters records exactly as the sequential
    cursor does. *)
@@ -93,6 +71,25 @@ let range_filter t ~lo ~hi record =
   let k = t.key_of record in
   (match lo with Some l -> Value.compare l k <= 0 | None -> true)
   && match hi with Some u -> Value.compare k u <= 0 | None -> true
+
+let scan_cursor ?window ?keep t =
+  Cursor.of_chains ?window ?filter:keep t.pf ~heads:(Seq.init t.buckets Fun.id)
+
+let lookup_cursor ?window ?keep t key =
+  (* Hashed access: the key's full bucket chain (any page may hold a
+     matching version), filtered down to equal keys. *)
+  Cursor.of_chains ?window t.pf
+    ~heads:(Seq.return (bucket_of t key))
+    ?filter:(Cursor.and_keep keep (Some (lookup_filter t key)))
+
+let range_cursor ?window ?keep t ~lo ~hi =
+  (* No order in a hash file: filter a full scan. *)
+  match (lo, hi) with
+  | None, None -> scan_cursor ?window ?keep t
+  | _ ->
+      Cursor.of_chains ?window t.pf
+        ~heads:(Seq.init t.buckets Fun.id)
+        ?filter:(Cursor.and_keep keep (Some (range_filter t ~lo ~hi)))
 
 let lookup ?window t key f = Cursor.iter (lookup_cursor ?window t key) f
 let iter ?window t f = Cursor.iter (scan_cursor ?window t) f

@@ -63,15 +63,24 @@ val iter :
 (** Sequential scan: every bucket chain; touches every page once (minus
     fence-skipped pages under [?window]). *)
 
-val scan_cursor : ?window:Time_fence.window -> t -> Cursor.t
-(** Batched sequential scan; {!iter} is this cursor, drained. *)
+val scan_cursor :
+  ?window:Time_fence.window -> ?keep:(bytes -> bool) -> t -> Cursor.t
+(** Batched sequential scan; {!iter} is this cursor, drained.  On every
+    cursor here, [keep] is ANDed after the cursor's own key filter in the
+    page step ({!Cursor.and_keep}), so only records passing both are
+    copied out. *)
 
 val lookup_cursor :
-  ?window:Time_fence.window -> t -> Tdb_relation.Value.t -> Cursor.t
+  ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
+  t ->
+  Tdb_relation.Value.t ->
+  Cursor.t
 (** Batched hashed access; {!lookup} is this cursor, drained. *)
 
 val range_cursor :
   ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
   t ->
   lo:Tdb_relation.Value.t option ->
   hi:Tdb_relation.Value.t option ->

@@ -59,13 +59,14 @@ let delete t tid =
   Pfile.clear_record t.pf tid;
   if tid.Tid.page < t.fill_hint then t.fill_hint <- tid.Tid.page
 
-let scan_cursor ?window t =
-  Cursor.of_pages ?window t.pf ~pages:(Seq.init (Pfile.npages t.pf) Fun.id)
+let scan_cursor ?window ?keep t =
+  Cursor.of_pages ?window ?filter:keep t.pf
+    ~pages:(Seq.init (Pfile.npages t.pf) Fun.id)
 
 (* A heap has no key: probes and ranges present everything and let the
    caller filter, as the eager paths always did. *)
-let lookup_cursor ?window t _key = scan_cursor ?window t
-let range_cursor ?window t ~lo:_ ~hi:_ = scan_cursor ?window t
+let lookup_cursor ?window ?keep t _key = scan_cursor ?window ?keep t
+let range_cursor ?window ?keep t ~lo:_ ~hi:_ = scan_cursor ?window ?keep t
 
 let iter ?window t f = Cursor.iter (scan_cursor ?window t) f
 

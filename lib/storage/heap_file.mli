@@ -28,12 +28,21 @@ val iter :
 (** Sequential scan: every page, in order; with [?window], pages whose
     time fence cannot overlap the window are skipped without a read. *)
 
-val scan_cursor : ?window:Time_fence.window -> t -> Cursor.t
-(** Batched sequential scan; {!iter} is this cursor, drained. *)
+val scan_cursor :
+  ?window:Time_fence.window -> ?keep:(bytes -> bool) -> t -> Cursor.t
+(** Batched sequential scan; {!iter} is this cursor, drained.  [keep]
+    filters records in the page step, before they are copied out. *)
 
-val lookup_cursor : ?window:Time_fence.window -> t -> Tdb_relation.Value.t -> Cursor.t
+val lookup_cursor :
+  ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
+  t ->
+  Tdb_relation.Value.t ->
+  Cursor.t
+
 val range_cursor :
   ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
   t ->
   lo:Tdb_relation.Value.t option ->
   hi:Tdb_relation.Value.t option ->

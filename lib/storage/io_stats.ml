@@ -87,4 +87,3 @@ let map2 f a b = { reads = f a.reads b.reads; writes = f a.writes b.writes }
 let diff ~before ~after = map2 (fun b a -> a - b) before after
 let add = map2 ( + )
 let zero = { reads = 0; writes = 0 }
-let pp_snapshot ppf s = Fmt.pf ppf "%d reads, %d writes" s.reads s.writes

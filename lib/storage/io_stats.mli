@@ -52,4 +52,3 @@ val snapshot : t -> snapshot
 val diff : before:snapshot -> after:snapshot -> snapshot
 val add : snapshot -> snapshot -> snapshot
 val zero : snapshot
-val pp_snapshot : snapshot Fmt.t

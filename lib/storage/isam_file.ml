@@ -241,10 +241,10 @@ let read t tid = Pfile.read_record t.pf tid
 let update t tid record = Pfile.write_record t.pf tid record
 let delete t tid = Pfile.clear_record t.pf tid
 
-let scan_cursor ?window t =
-  Cursor.of_chains ?window t.pf ~heads:(Seq.init t.ndata Fun.id)
+let scan_cursor ?window ?keep t =
+  Cursor.of_chains ?window ?filter:keep t.pf ~heads:(Seq.init t.ndata Fun.id)
 
-let lookup_cursor ?window t key =
+let lookup_cursor ?window ?keep t key =
   (* ISAM access: directory descent (counted I/O, performed here so the
      cursor's first pull doesn't hide it), then forward through every
      data page whose build-time first key does not exceed the probe: a
@@ -261,9 +261,11 @@ let lookup_cursor ?window t key =
       start
   in
   Cursor.of_chains ?window t.pf ~heads
-    ~filter:(fun record -> Value.equal (t.key_of record) key)
+    ?filter:
+      (Cursor.and_keep keep
+         (Some (fun record -> Value.equal (t.key_of record) key)))
 
-let range_cursor ?window t ~lo ~hi =
+let range_cursor ?window ?keep t ~lo ~hi =
   let first = match lo with Some k -> locate_data_page t k | None -> 0 in
   let in_range k =
     (match lo with Some l -> Value.compare l k <= 0 | None -> true)
@@ -288,7 +290,8 @@ let range_cursor ?window t ~lo ~hi =
       first
   in
   Cursor.of_chains ?window t.pf ~heads
-    ~filter:(fun record -> in_range (t.key_of record))
+    ?filter:
+      (Cursor.and_keep keep (Some (fun record -> in_range (t.key_of record))))
 
 (* --- probe runs, for partition-parallel probes ---
 

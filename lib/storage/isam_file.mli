@@ -91,16 +91,25 @@ val iter_range :
     both ends; either bound may be omitted).  Reads the directory once to
     locate the first data page, then data pages and chains from there. *)
 
-val scan_cursor : ?window:Time_fence.window -> t -> Cursor.t
-(** Batched sequential scan; {!iter} is this cursor, drained. *)
+val scan_cursor :
+  ?window:Time_fence.window -> ?keep:(bytes -> bool) -> t -> Cursor.t
+(** Batched sequential scan; {!iter} is this cursor, drained.  On every
+    cursor here, [keep] is ANDed after the cursor's own key filter in the
+    page step ({!Cursor.and_keep}), so only records passing both are
+    copied out. *)
 
 val lookup_cursor :
-  ?window:Time_fence.window -> t -> Tdb_relation.Value.t -> Cursor.t
+  ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
+  t ->
+  Tdb_relation.Value.t ->
+  Cursor.t
 (** Batched ISAM access; {!lookup} is this cursor, drained.  The
     directory descent happens at cursor-open time. *)
 
 val range_cursor :
   ?window:Time_fence.window ->
+  ?keep:(bytes -> bool) ->
   t ->
   lo:Tdb_relation.Value.t option ->
   hi:Tdb_relation.Value.t option ->

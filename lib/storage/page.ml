@@ -49,18 +49,29 @@ let check page =
 
 let slot_offset ~record_size slot = slot * (record_size + slot_header)
 
+(* [slot < capacity ~record_size] without the division: slot reads sit
+   on the per-record path of every scan. *)
 let check_slot ~record_size slot =
-  if slot < 0 || slot >= capacity ~record_size then
+  if slot < 0 || (slot + 1) * (record_size + slot_header) > size - trailer
+  then
     invalid_arg (Printf.sprintf "Page: slot %d out of range" slot)
 
 let slot_used ~record_size page slot =
   check_slot ~record_size slot;
   Bytes.get_uint16_be page (slot_offset ~record_size slot) <> 0
 
-let read_record ~record_size page slot =
+let check_used ~record_size page slot =
   if not (slot_used ~record_size page slot) then
-    invalid_arg (Printf.sprintf "Page.read_record: slot %d is free" slot);
+    invalid_arg (Printf.sprintf "Page: slot %d is free" slot)
+
+let read_record ~record_size page slot =
+  check_used ~record_size page slot;
   Bytes.sub page (slot_offset ~record_size slot + slot_header) record_size
+
+let blit_record ~record_size page slot dst =
+  check_used ~record_size page slot;
+  Bytes.blit page (slot_offset ~record_size slot + slot_header) dst 0
+    record_size
 
 let write_record ~record_size page slot record =
   check_slot ~record_size slot;

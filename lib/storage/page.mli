@@ -18,9 +18,11 @@
     in line with the paper's figures.
 
     The epoch and checksum are storage-layer fields: {!Disk} stamps them
-    via {!seal} on every write and verifies via {!check} on every read, so
-    code above the disk never sees a torn or bit-flipped page.  Overflow
-    pointers remain the access methods' business. *)
+    via {!seal} on every write and verifies them via {!check} before it
+    serves an image — at every physical read of a file, and at the first
+    read of each stored in-memory image, which never changes afterwards —
+    so code above the disk never sees a torn or bit-flipped page.
+    Overflow pointers remain the access methods' business. *)
 
 val size : int
 val trailer : int
@@ -50,6 +52,11 @@ val slot_used : record_size:int -> bytes -> int -> bool
 val read_record : record_size:int -> bytes -> int -> bytes
 (** [read_record ~record_size page slot] copies the record out of the page.
     The slot must be in use. *)
+
+val blit_record : record_size:int -> bytes -> int -> bytes -> unit
+(** [blit_record ~record_size page slot dst] copies the record into the
+    first [record_size] bytes of [dst], allocating nothing.  The slot must
+    be in use. *)
 
 val write_record : record_size:int -> bytes -> int -> bytes -> unit
 (** Stores a record and marks the slot used. *)

@@ -354,25 +354,22 @@ type access_path =
    raw records; keyless organizations degrade gracefully (a heap answers
    a probe with a full scan and the caller filters, as always).  This is
    the single dispatch point the executor's plan nodes resolve through.
-   [keep] filters each page's records after the access method's own
-   key/range filter, inside the cursor. *)
+   [keep] joins the access method's own key/range filter in the page
+   step, so records are filtered before they are copied out. *)
 let cursor ?window ?keep t access =
-  let c =
-    match (t.impl, access) with
-    | Heap_impl h, Full_scan -> Heap_file.scan_cursor ?window h
-    | Heap_impl h, Key_lookup key -> Heap_file.lookup_cursor ?window h key
-    | Heap_impl h, Key_range { lo; hi } ->
-        Heap_file.range_cursor ?window h ~lo ~hi
-    | Hash_impl h, Full_scan -> Hash_file.scan_cursor ?window h
-    | Hash_impl h, Key_lookup key -> Hash_file.lookup_cursor ?window h key
-    | Hash_impl h, Key_range { lo; hi } ->
-        Hash_file.range_cursor ?window h ~lo ~hi
-    | Isam_impl i, Full_scan -> Isam_file.scan_cursor ?window i
-    | Isam_impl i, Key_lookup key -> Isam_file.lookup_cursor ?window i key
-    | Isam_impl i, Key_range { lo; hi } ->
-        Isam_file.range_cursor ?window i ~lo ~hi
-  in
-  match keep with None -> c | Some keep -> Cursor.filtered c ~keep
+  match (t.impl, access) with
+  | Heap_impl h, Full_scan -> Heap_file.scan_cursor ?window ?keep h
+  | Heap_impl h, Key_lookup key -> Heap_file.lookup_cursor ?window ?keep h key
+  | Heap_impl h, Key_range { lo; hi } ->
+      Heap_file.range_cursor ?window ?keep h ~lo ~hi
+  | Hash_impl h, Full_scan -> Hash_file.scan_cursor ?window ?keep h
+  | Hash_impl h, Key_lookup key -> Hash_file.lookup_cursor ?window ?keep h key
+  | Hash_impl h, Key_range { lo; hi } ->
+      Hash_file.range_cursor ?window ?keep h ~lo ~hi
+  | Isam_impl i, Full_scan -> Isam_file.scan_cursor ?window ?keep i
+  | Isam_impl i, Key_lookup key -> Isam_file.lookup_cursor ?window ?keep i key
+  | Isam_impl i, Key_range { lo; hi } ->
+      Isam_file.range_cursor ?window ?keep i ~lo ~hi
 
 (* --- partition-parallel execution ---
 
@@ -551,13 +548,6 @@ let partition_preview ?window t ~parts access =
           in
           plan ~live_units:nheads ~live_pages:pages ~pruned:0)
 
-(* [keep] ANDed after a shape's own record filter: what {!cursor} does. *)
-let and_keep keep filter =
-  match (filter, keep) with
-  | f, None -> f
-  | None, Some k -> Some k
-  | Some f, Some k -> Some (fun r -> f r && k r)
-
 let partition_access ?window ?keep t ~parts access =
   match shape ~charged:true t access with
   | None -> None
@@ -590,7 +580,7 @@ let partition_access ?window ?keep t ~parts access =
       in
       (match sh with
       | Chain { pages; filter } ->
-          let filter = and_keep keep (Some filter) in
+          let filter = Cursor.and_keep keep (Some filter) in
           let live =
             match w with
             | None -> pages
@@ -609,7 +599,7 @@ let partition_access ?window ?keep t ~parts access =
                  Cursor.of_pages ?window ?filter pf'
                    ~pages:(List.to_seq slice)))
       | Heads { heads; filter } ->
-          let filter = and_keep keep filter in
+          let filter = Cursor.and_keep keep filter in
           let live =
             match w with
             | None -> heads

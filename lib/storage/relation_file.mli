@@ -81,11 +81,12 @@ val cursor :
     these cursors, drained).  Decode records with {!decode}.
 
     [?keep] is a record filter ANDed after the access method's own
-    key/range filter and applied per page, as each page's records are
-    copied out: the cursor yields exactly the unfiltered cursor's
-    records that pass [keep], in the same order, after the same reads,
-    fence checks and skips.  [keep] must be pure and do no pool I/O; it
-    runs on the copied record, so it may keep a reference to it. *)
+    key/range filter in the page step, so only records passing both are
+    copied out of the frame: the cursor yields exactly the unfiltered
+    cursor's records that pass [keep], in the same order, after the same
+    reads, fence checks and skips.  [keep] must be pure and do no pool
+    I/O; it runs on a per-page scratch record, so it must not keep a
+    reference to its argument. *)
 
 val decode : t -> bytes -> Tdb_relation.Tuple.t
 (** Decodes one raw record yielded by {!cursor}. *)

@@ -30,7 +30,6 @@ type stamp = {
 val empty : unit -> t
 (** The fence of a page with no records; it admits no window. *)
 
-val is_empty : t -> bool
 val copy : t -> t
 
 val stamp :

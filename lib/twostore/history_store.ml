@@ -68,7 +68,7 @@ let write_at t page record =
       Some tid
   | None -> None
 
-let push t ~now:_ ~cluster ~tuple ~prev =
+let push t ~cluster ~tuple ~prev =
   let record = encode t tuple prev in
   let tail =
     if t.clustered then Hashtbl.find_opt t.cluster_tail cluster

@@ -27,15 +27,13 @@ val npages : t -> int
 
 val push :
   t ->
-  now:Tdb_time.Chronon.t ->
   cluster:Tdb_relation.Value.t ->
   tuple:bytes ->
   prev:Tdb_storage.Tid.t option ->
   Tdb_storage.Tid.t
 (** Stores a version whose next-older version is [prev]; returns its
     address (the new chain head).  [cluster] identifies the tuple for the
-    clustered policy (ignored by the simple one).  [now] is the push time;
-    placement does not depend on it. *)
+    clustered policy (ignored by the simple one). *)
 
 val read : t -> Tdb_storage.Tid.t -> bytes * Tdb_storage.Tid.t option
 (** The stored tuple and its back-pointer. *)

@@ -79,9 +79,9 @@ let m_history_appends =
 
 let m_migrations = Tdb_obs.Metric.counter "tdb_twostore_migrations_total"
 
-let push_history t ~now ~cluster ~tuple ~prev =
+let push_history t ~cluster ~tuple ~prev =
   Tdb_obs.Metric.incr m_history_appends;
-  History_store.push t.history ~now ~cluster
+  History_store.push t.history ~cluster
     ~tuple:(Tuple.encode t.schema tuple)
     ~prev
 
@@ -93,12 +93,12 @@ let retire t ~now ~tid ~old_tuple =
   let cluster = old_tuple.(t.key_index) in
   let prev = Hashtbl.find_opt t.heads tid in
   let superseded = Tuple.set_time old_tuple t.tstop now in
-  let head1 = push_history t ~now ~cluster ~tuple:superseded ~prev in
+  let head1 = push_history t ~cluster ~tuple:superseded ~prev in
   let terminated = Array.copy old_tuple in
   terminated.(t.valid_to) <- Value.Time now;
   terminated.(t.tstart) <- Value.Time now;
   terminated.(t.tstop) <- Value.Time Chronon.forever;
-  push_history t ~now ~cluster ~tuple:terminated ~prev:(Some head1)
+  push_history t ~cluster ~tuple:terminated ~prev:(Some head1)
 
 let victims t key =
   let acc = ref [] in

@@ -166,6 +166,39 @@ let test_sync_reaches_disk () =
   Disk.close disk2;
   Sys.remove path
 
+let test_modify_does_not_leak () =
+  (* Two pools over one mem disk, as partition pools and snapshot reader
+     views are: their frames share the stored image, so a write through
+     one must reach neither the store nor the other pool before it is
+     written back. *)
+  let disk = Disk.create_mem () in
+  let writer = Buffer_pool.create disk (Io_stats.create ()) in
+  let reader_stats = Io_stats.create () in
+  let reader = Buffer_pool.create disk reader_stats in
+  let a = Buffer_pool.allocate writer in
+  Buffer_pool.modify writer a (fun page -> Bytes.set page 0 'A');
+  Buffer_pool.invalidate writer;
+  let seen = Buffer_pool.read reader a in
+  Alcotest.(check bool) "a miss reads the stored image, uncopied" true
+    (seen == Disk.read_image disk a);
+  Alcotest.(check int) "and counts one read" 1 (Io_stats.reads reader_stats);
+  ignore (Buffer_pool.read writer a);
+  Buffer_pool.modify writer a (fun page -> Bytes.set page 0 'B');
+  Alcotest.(check char) "the writer sees its write" 'B'
+    (Bytes.get (Buffer_pool.read writer a) 0);
+  Alcotest.(check char) "the store does not" 'A'
+    (Bytes.get (Disk.read_page disk a) 0);
+  Alcotest.(check char) "nor does the other pool's frame" 'A'
+    (Bytes.get (Buffer_pool.read reader a) 0);
+  Buffer_pool.flush writer;
+  Alcotest.(check char) "written back on flush" 'B'
+    (Bytes.get (Disk.read_page disk a) 0);
+  Alcotest.(check char) "a frame keeps the image it read" 'A'
+    (Bytes.get (Buffer_pool.read reader a) 0);
+  Buffer_pool.invalidate reader;
+  Alcotest.(check char) "a fresh miss sees the new image" 'B'
+    (Bytes.get (Buffer_pool.read reader a) 0)
+
 let suites =
   [
     ( "buffer_pool",
@@ -184,5 +217,7 @@ let suites =
           test_failed_read_does_not_poison_frame;
         Alcotest.test_case "write split by cause" `Quick test_write_split_by_cause;
         Alcotest.test_case "sync reaches disk" `Quick test_sync_reaches_disk;
+        Alcotest.test_case "modify does not leak into shared images" `Quick
+          test_modify_does_not_leak;
       ] );
   ]

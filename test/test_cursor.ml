@@ -203,6 +203,86 @@ let test_isam_conformance () =
   Alcotest.(check int) "isam range finds 10..19" 10 (List.length recs);
   Alcotest.(check bool) "isam range bounded cost" true (reads <= probe_budget)
 
+(* The page steps' filter: testing each used slot in a scratch record
+   and copying only the survivors must yield exactly the (tid, record)
+   lists that copying every record and filtering afterwards does — step
+   by step, successor links included — after the same reads, for every
+   access method, with and without a fence window. *)
+let test_filtered_step () =
+  let keep record = field record 0 mod 3 = 0 in
+  let copied recs = List.map (fun (tid, r) -> (tid, Bytes.to_string r)) recs in
+  (* every step of a whole-file walk: one per page, or one per chain page *)
+  let steps ~heads ?window ?filter pf =
+    match heads with
+    | None ->
+        List.init (Pfile.npages pf) (fun page ->
+            (page, copied (Pfile.page_step ?window ?filter pf ~page), None))
+    | Some heads ->
+        List.concat_map
+          (fun head ->
+            let rec go acc page =
+              let recs, next = Pfile.chain_step ?window ?filter pf ~page in
+              let acc = (page, copied recs, next) :: acc in
+              match next with Some n -> go acc n | None -> List.rev acc
+            in
+            go [] head)
+          (List.init heads Fun.id)
+  in
+  let check name ~heads pf stats =
+    List.iter
+      (fun w ->
+        let name = if w = None then name else name ^ "+window" in
+        let observe filter =
+          Buffer_pool.invalidate (Pfile.pool pf);
+          Io_stats.reset stats;
+          let s = steps ~heads ?window:w ?filter pf in
+          (s, Io_stats.reads stats)
+        in
+        let all, reads = observe None in
+        let kept, reads_k = observe (Some keep) in
+        let filter_after =
+          List.map
+            (fun (page, recs, next) ->
+              ( page,
+                List.filter (fun (_, r) -> keep (Bytes.of_string r)) recs,
+                next ))
+            all
+        in
+        Alcotest.(check bool)
+          (name ^ ": filtered steps = filter after copy")
+          true (kept = filter_after);
+        Alcotest.(check bool) (name ^ ": the filter drops records") true
+          (List.length (List.concat_map (fun (_, r, _) -> r) kept)
+          < List.length (List.concat_map (fun (_, r, _) -> r) all));
+        Alcotest.(check int) (name ^ ": same reads") reads reads_k)
+      [ None; Some (window 305 455) ]
+  in
+  let records = List.map record (List.init n_records Fun.id) in
+  (let pool, stats = fresh_pool () in
+   let h = Heap_file.create pool ~record_size in
+   Pfile.enable_fences (Heap_file.pfile h) ~stamp;
+   List.iter (fun r -> ignore (Heap_file.insert h r)) records;
+   check "heap" ~heads:None (Heap_file.pfile h) stats);
+  (let pool, stats = fresh_pool () in
+   let h = Hash_file.build pool ~record_size ~key_of ~fillfactor:50 records in
+   let pf = Hash_file.pfile h in
+   Pfile.enable_fences pf ~stamp;
+   for b = 0 to Hash_file.buckets h - 1 do
+     Pfile.rebuild_chain_fences pf ~head:b
+   done;
+   check "hash" ~heads:(Some (Hash_file.buckets h)) pf stats);
+  let pool, stats = fresh_pool () in
+  let t =
+    Isam_file.build pool ~record_size ~key_of ~key_type:Attr_type.I4
+      ~fillfactor:100 records
+  in
+  let pf = Isam_file.pfile t in
+  Pfile.enable_fences pf ~stamp;
+  for p = 0 to Isam_file.data_pages t - 1 do
+    Pfile.rebuild_chain_fences pf ~head:p
+  done;
+  check "isam" ~heads:(Some (Isam_file.data_pages t)) pf stats
+
 (* --- partitioned scans (the parallel executor's fan-out contract) ---
 
    For every organization and partition count: concatenating the
@@ -582,6 +662,8 @@ let suites =
         Alcotest.test_case "heap conformance" `Quick test_heap_conformance;
         Alcotest.test_case "hash conformance" `Quick test_hash_conformance;
         Alcotest.test_case "isam conformance" `Quick test_isam_conformance;
+        Alcotest.test_case "filtered step = filter after copy" `Quick
+          test_filtered_step;
         Alcotest.test_case "partition conformance" `Quick
           test_partition_conformance;
         Alcotest.test_case "shard pruning: zero assignments" `Quick

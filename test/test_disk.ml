@@ -1,5 +1,6 @@
 module Disk = Tdb_storage.Disk
 module Page = Tdb_storage.Page
+module Fault = Tdb_storage.Fault
 
 let test_mem_basics () =
   let d = Disk.create_mem () in
@@ -161,6 +162,78 @@ let test_epoch_stamps () =
   Alcotest.(check int) "bumped epoch stamped" (Disk.epoch d)
     (Page.get_epoch (Disk.read_page d id))
 
+(* Counting verifications needs the registered counters on; restore the
+   previous setting whatever happens. *)
+let verifies = Tdb_obs.Metric.counter "tdb_disk_page_verifies_total"
+
+let counting_verifies f =
+  let was = Tdb_obs.Metric.enabled () in
+  Tdb_obs.Metric.set_enabled true;
+  Fun.protect ~finally:(fun () -> Tdb_obs.Metric.set_enabled was) @@ fun () ->
+  f (fun g ->
+      let before = Tdb_obs.Metric.count verifies in
+      g ();
+      Tdb_obs.Metric.count verifies - before)
+
+let page_with c =
+  let p = Page.create () in
+  Bytes.set p 0 c;
+  p
+
+let test_mem_verifies_once () =
+  counting_verifies @@ fun verifications ->
+  let d = Disk.create_mem () in
+  let id = Disk.allocate d in
+  Disk.write_page d id (page_with 'A');
+  let read () = ignore (Disk.read_page d id) in
+  Alcotest.(check int) "first read verifies" 1 (verifications read);
+  Alcotest.(check int) "second read does not" 0 (verifications read);
+  Alcotest.(check int) "nor does an image read" 0
+    (verifications (fun () -> ignore (Disk.read_image d id)));
+  Alcotest.(check bool) "image reads share the stored image" true
+    (Disk.read_image d id == Disk.read_image d id);
+  Disk.write_page d id (page_with 'B');
+  Alcotest.(check int) "a rewritten page is verified again" 1
+    (verifications read);
+  (* the file backend verifies every physical read *)
+  let path = Filename.temp_file "tdb_disk" ".pages" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let f = Disk.open_file path in
+  let id = Disk.allocate f in
+  let read () = ignore (Disk.read_page f id) in
+  Alcotest.(check int) "file read verifies" 1 (verifications read);
+  Alcotest.(check int) "and again" 1 (verifications read);
+  Disk.close f
+
+let test_torn_write_after_verify () =
+  (* write #1 is the allocation, #2 the first image, #3 the torn one *)
+  let fault = Fault.create ~seed:7 ~torn_write_at:3 () in
+  let d = Disk.create_mem ~fault () in
+  let id = Disk.allocate d in
+  Disk.write_page d id (page_with 'A');
+  let held = Disk.read_image d id in
+  Alcotest.(check char) "verified image" 'A' (Bytes.get held 0);
+  Disk.write_page d id (page_with 'B');
+  (match Disk.read_page d id with
+  | exception Tdb_error.Error (Tdb_error.Corruption, _) -> ()
+  | _ -> Alcotest.fail "torn write into a verified page served as data");
+  Alcotest.(check char) "a held image is never written through" 'A'
+    (Bytes.get held 0)
+
+let test_truncate_unverifies () =
+  counting_verifies @@ fun verifications ->
+  let d = Disk.create_mem () in
+  let id = Disk.allocate d in
+  Disk.write_page d id (page_with 'A');
+  ignore (Disk.read_page d id);
+  Disk.truncate d;
+  let id' = Disk.allocate d in
+  Alcotest.(check int) "ids restart" id id';
+  let page = ref Bytes.empty in
+  Alcotest.(check int) "the fresh image is verified at its first read" 1
+    (verifications (fun () -> page := Disk.read_page d id'));
+  Alcotest.(check char) "and holds the fresh page" '\000' (Bytes.get !page 0)
+
 let test_fsync_smoke () =
   let d = Disk.create_mem () in
   Disk.fsync d;
@@ -188,5 +261,11 @@ let suites =
           test_recover_torn_tail_page;
         Alcotest.test_case "epoch stamps" `Quick test_epoch_stamps;
         Alcotest.test_case "fsync smoke" `Quick test_fsync_smoke;
+        Alcotest.test_case "mem pages verify once" `Quick
+          test_mem_verifies_once;
+        Alcotest.test_case "torn write after verify" `Quick
+          test_torn_write_after_verify;
+        Alcotest.test_case "truncate unverifies" `Quick
+          test_truncate_unverifies;
       ] );
   ]

@@ -60,10 +60,10 @@ let test_history_store_chain () =
   let hs = History_store.create pool ~tuple_size:124 ~clustered:true in
   let mk i = Tuple.encode schema (Tuple.set_time (tuple i) 2 (Chronon.of_seconds i)) in
   ignore mk;
-  let t1 = History_store.push hs ~now:(Chronon.of_seconds 100)
+  let t1 = History_store.push hs
       ~cluster:(Value.Int 1)
       ~tuple:(Tuple.encode schema (tuple 1)) ~prev:None in
-  let t2 = History_store.push hs ~now:(Chronon.of_seconds 101)
+  let t2 = History_store.push hs
       ~cluster:(Value.Int 1)
       ~tuple:(Tuple.encode schema (tuple 2)) ~prev:(Some t1) in
   let seen = ref [] in
@@ -78,10 +78,10 @@ let test_history_capacity () =
   let pool = Buffer_pool.create (Disk.create_mem ()) (Io_stats.create ()) in
   let hs = History_store.create pool ~tuple_size:124 ~clustered:true in
   let prev = ref None in
-  for i = 1 to 28 do
+  for _ = 1 to 28 do
     prev :=
       Some
-        (History_store.push hs ~now:(Chronon.of_seconds (100 + i))
+        (History_store.push hs
            ~cluster:(Value.Int 1)
            ~tuple:(Tuple.encode schema (tuple 1)) ~prev:!prev)
   done;
@@ -92,15 +92,15 @@ let test_clustering_separates_tuples () =
   let hs = History_store.create pool ~tuple_size:124 ~clustered:true in
   (* interleave two tuples' versions; clusters must not share pages *)
   let head_a = ref None and head_b = ref None in
-  for i = 1 to 10 do
+  for _ = 1 to 10 do
     head_a :=
       Some
-        (History_store.push hs ~now:(Chronon.of_seconds (100 + i))
+        (History_store.push hs
            ~cluster:(Value.Int 1)
            ~tuple:(Tuple.encode schema (tuple 1)) ~prev:!head_a);
     head_b :=
       Some
-        (History_store.push hs ~now:(Chronon.of_seconds (100 + i))
+        (History_store.push hs
            ~cluster:(Value.Int 2)
            ~tuple:(Tuple.encode schema (tuple 2)) ~prev:!head_b)
   done;
