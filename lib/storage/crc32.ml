@@ -31,7 +31,7 @@ external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 let[@inline] t k x = Array.unsafe_get tables ((k lsl 8) lor (x land 0xFF))
 
 (* Nothing here may allocate: every checksummed page passes through, on
-   every read and write.  So no local closures, and the 64-bit words stay
+   every write and every verifying read.  So no local closures, and the 64-bit words stay
    unboxed because each is consumed by [Int64] primitives only. *)
 let update crc buf ~pos ~len =
   if pos < 0 || len < 0 || pos > Bytes.length buf - len then
